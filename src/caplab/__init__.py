@@ -43,7 +43,6 @@ from .train import (
     OptimizerState,
     TrainConfig,
     TrainReport,
-    cap_loss,
     init_optimizer,
     sgd_step,
     train,
@@ -73,7 +72,6 @@ __all__ = [
     "TrainReport",
     "ascend_step",
     "attack",
-    "cap_loss",
     "clean_accuracy",
     "cross_entropy",
     "diameter",

@@ -28,14 +28,11 @@ from .config import (
     build_model,
     build_train_config,
     load_run_config,
-    parse_eval_tokens,
-    resolve_input_clip,
 )
 from .data import Dataset, load_csv
 from .errors import CapLabError, ConfigError, NumericsError
 from .nn import MlpModel, load_model, save_model
 from .polytope import find_corners, mean_diameter
-from .seeding import STREAM_EVAL, derive_seed
 from .svg import corner_scatter_svg
 from .train import train, report_to_dict, write_history_csv
 
@@ -61,16 +58,15 @@ def _resolve_out(args, rc: RunConfig) -> Path:
     return path
 
 
-def _resolve_threads(args, rc: RunConfig | None) -> int:
-    if getattr(args, "threads", None) is not None:
-        return int(args.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV}: expected an integer, got {env!r}") from None
-    return rc.threads if rc is not None else 0
+def _check_threads(args) -> None:
+    """Validate --threads / CAP_LAB_THREADS; the value has no effect."""
+    raw = args.threads if args.threads is not None else os.environ.get(THREADS_ENV, "0")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV}: expected an integer, got {raw!r}") from None
+    if threads < 0:
+        raise ConfigError(f"threads: must be >= 0, got {threads}")
 
 
 def _load_config(args) -> RunConfig:
@@ -142,40 +138,21 @@ def _evaluate_suite(
     return results
 
 
-def _suite_from_args(args, rc: RunConfig) -> list[tuple[str, AttackConfig]]:
-    if not args.attack:
-        return build_eval_suite(rc)
-    eps = args.epsilon if args.epsilon is not None else rc.section("polytope")["epsilon"]
-    clip = resolve_input_clip(rc)
-    suite = []
-    tokens = parse_eval_tokens(",".join(args.attack))
-    for i, (kind, steps) in enumerate(tokens):
-        if kind == "fgsm":
-            suite.append(("fgsm", AttackConfig(kind="fgsm", epsilon=eps, input_clip=clip)))
-        else:
-            suite.append(
-                (
-                    f"pgd-{steps}",
-                    AttackConfig(
-                        kind="pgd",
-                        epsilon=eps,
-                        step_size=args.alpha,
-                        steps=steps,
-                        random_start=not args.no_random_start,
-                        input_clip=clip,
-                        seed=derive_seed(rc.seed, STREAM_EVAL, i),
-                    ),
-                )
-            )
-    return suite
-
-
 def cmd_eval(args) -> int:
     rc = _load_config(args)
     out_dir = _resolve_out(args, rc)
+    ev = rc.values["eval"]
+    if args.attack:
+        ev["attacks"] = ",".join(args.attack)
+    if args.epsilon is not None:
+        ev["epsilon"] = args.epsilon
+    if args.alpha is not None:
+        ev["alpha"] = args.alpha
+    if args.no_random_start:
+        ev["random_start"] = False
+    suite = build_eval_suite(rc)
     model = load_model(args.checkpoint)
     _, test_ds = build_datasets(rc)
-    suite = _suite_from_args(args, rc)
     _log(out_dir, f"eval start: checkpoint={args.checkpoint} n={test_ds.n_samples}")
     results = _evaluate_suite(model, test_ds, suite)
     doc = {
@@ -273,7 +250,7 @@ def cmd_compare(args) -> int:
     if out_dir is None:
         raise ConfigError("compare: --out is required")
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = _resolve_threads(args, rc_a)
+    _check_threads(args)
 
     rows = []
     for tag, rc in (("a", rc_a), ("b", rc_b)):
@@ -289,7 +266,7 @@ def cmd_compare(args) -> int:
             raise
         suite = build_eval_suite(rc)
         results = _evaluate_suite(model, test_ds, suite)
-        diam = mean_diameter(model, test_ds.features, build_corner_config(rc), threads=threads)
+        diam = mean_diameter(model, test_ds.features, build_corner_config(rc))
         rows.append(
             {
                 "run": tag,
@@ -333,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            help=f"worker threads, 0 = auto (env {THREADS_ENV}); never changes results",
+            help=f"accepted for compatibility (env {THREADS_ENV}); has no effect",
         )
 
     p_train = sub.add_parser("train", help="train a model per the config")
@@ -349,9 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="attack token (fgsm or pgd-<steps>); repeatable; default: config [eval] suite",
     )
-    p_eval.add_argument("--epsilon", type=float, help="override attack epsilon")
-    p_eval.add_argument("--alpha", type=float, default=2 / 255, help="pgd step size")
-    p_eval.add_argument("--no-random-start", action="store_true")
+    p_eval.add_argument("--epsilon", type=float, help="override [eval] epsilon")
+    p_eval.add_argument("--alpha", type=float, help="override [eval] alpha (pgd step size)")
+    p_eval.add_argument(
+        "--no-random-start", action="store_true", help="override [eval] random_start to false"
+    )
     p_eval.set_defaults(fn=cmd_eval)
 
     p_corners = sub.add_parser("corners", help="estimate one sample's reachable-output corners")
@@ -372,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--config-b", required=True)
     p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument("--seed", type=int, help="override both configs' global seed")
-    p_cmp.add_argument("--threads", type=int)
+    p_cmp.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     p_cmp.set_defaults(fn=cmd_compare)
 
     return parser

@@ -7,7 +7,7 @@ offending field named in the message.
 
 Sections:
 
-  [run]       seed, threads, out
+  [run]       seed, threads (validated, no effect), out
   [data]      kind = blobs | moons | csv, plus the generator's parameters
   [model]     hidden layer widths and activation
   [train]     trainer kind and optimization hyperparameters

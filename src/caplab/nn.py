@@ -139,7 +139,7 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     """
     a, squeeze = _as_rows(x, model.input_dim, "forward")
     if not np.isfinite(a).all():
-        raise NumericsError("forward: input contains non-finite values")
+        raise ValueError("forward: input contains non-finite values")
     trace = ForwardTrace(squeeze=squeeze)
     for layer in model.layers:
         trace.inputs.append(a)

@@ -7,7 +7,9 @@ the budget box, and each one repeatedly takes a projected gradient-ascent
 step on its squared distance to the empirical center of all particle
 outputs. The center is frozen while the particles sweep and refreshed once
 per outer iteration, which is what makes the per-particle updates
-independent (and therefore safely parallel or batched).
+independent, so one batched forward/backward steps every particle of every
+sample at once. corner_search_batch is the only search engine; find_corners
+runs it on a batch of one.
 
 The returned particles are representatives of corner regions, not certified
 vertices of the true set.
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import NumericsError, ShapeError
 from .nn import MlpModel, ForwardTrace, forward, grad_input
-from .parallel import parallel_map
 from .seeding import derive_seed
 
 
@@ -184,26 +185,26 @@ def empirical_center(model: MlpModel, x: np.ndarray, particles: ParticleSet) -> 
 def ascend_step(
     model: MlpModel,
     x: np.ndarray,
-    particle: np.ndarray,
+    particles: np.ndarray,
     center: np.ndarray,
     eta: float,
     budget: PerturbationBudget,
-    particle_index: Optional[int] = None,
 ) -> np.ndarray:
-    """One projected gradient-ascent step on ||f(x + e) - center||^2.
+    """One projected gradient-ascent step on ||f(x + e) - center||^2 for every
+    particle e of an (N, d) stack; a single (d,) particle also works.
 
     The center is treated as a constant: the gradient is the input gradient
     with cotangent 2 (f(x + e) - center), and the step ends with projection
     back onto the budget box.
     """
     x = np.asarray(x, dtype=np.float64)
-    particle = np.asarray(particle, dtype=np.float64)
-    logits, trace = forward(model, x + particle)
+    particles = np.asarray(particles, dtype=np.float64)
+    logits, trace = forward(model, x + particles)
     g = grad_input(model, trace, 2.0 * (logits - np.asarray(center, dtype=np.float64)))
-    if not np.isfinite(g).all():
-        who = "?" if particle_index is None else str(particle_index)
-        raise NumericsError(f"non-finite ascent gradient for particle {who}")
-    return project(particle + eta * g, budget, x)
+    bad = ~np.isfinite(g).reshape(-1, g.shape[-1]).all(axis=1)
+    if bad.any():
+        raise NumericsError(f"non-finite ascent gradient for particle {int(np.argmax(bad))}")
+    return project(particles + eta * g, budget, x)
 
 
 def corner_search_batch(
@@ -214,8 +215,9 @@ def corner_search_batch(
     Semantics are sample-wise: particles of different samples never
     interact, and each sample's center reduction runs in ascending particle
     order. All B*N ascent steps per iteration are fused into one batched
-    forward/backward, so values agree with per-sample find_corners only up
-    to float reassociation (~1e-15 relative), not bit-for-bit.
+    forward/backward. BLAS may reassociate sums differently for different
+    row counts, so a sample's bits can depend on which samples share its
+    batch (~1e-15 relative); find_corners always runs a batch of one.
 
     Returns (particles (B,N,d), corner logits (B,N,c), centers (B,c),
     objective history (B,T), trace of the final corner forward).
@@ -273,41 +275,28 @@ def diameter(est: PolytopeEstimate) -> float:
 def find_corners(
     model: MlpModel, x: np.ndarray, cfg: CornerConfig
 ) -> tuple[ParticleSet, PolytopeEstimate]:
-    """Full corner search for one sample.
+    """Full corner search for one sample: corner_search_batch on a batch of one.
 
     Initializes N particles from the seeded uniform law, computes the
     empirical center, then runs T outer iterations: every particle takes
-    one ascend_step against the center frozen at the top of the iteration
-    (in ascending particle order, though the steps are independent), after
-    which the center is refreshed from the new particle outputs. No early
-    stopping; the per-iteration mean squared distance is recorded so
+    one ascent step against the center frozen at the top of the iteration,
+    after which the center is refreshed from the new particle outputs. No
+    early stopping; the per-iteration mean squared distance is recorded so
     stagnation is observable.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"x must be a single (d,) sample, got {x.shape}")
-    budget = cfg.budget
-    P = init_particles(cfg.seed, cfg.n_particles, x.shape[0], budget).particles
-    P = project(P, budget, x[None, :])  # establishes x + e feasibility under input_clip
-
-    logits, _ = forward(model, x[None, :] + P)
-    center = _mean_ascending(logits, axis=0)
-    history = np.empty(cfg.steps, dtype=np.float64)
-    for t in range(cfg.steps):
-        for n in range(cfg.n_particles):
-            P[n] = ascend_step(model, x, P[n], center, cfg.eta, budget, particle_index=n)
-        logits, _ = forward(model, x[None, :] + P)
-        center = _mean_ascending(logits, axis=0)
-        history[t] = float(((logits - center[None, :]) ** 2).sum(axis=1).mean())
-
-    particles = ParticleSet(particles=P, budget=budget, rng_seed=int(cfg.seed))
+    P, L, centers, history, _ = corner_search_batch(model, x[None, :], [cfg.seed], cfg)
+    logits, center = L[0], centers[0]
+    particles = ParticleSet(particles=P[0], budget=cfg.budget, rng_seed=int(cfg.seed))
     dists = np.sqrt(((logits - center[None, :]) ** 2).sum(axis=1))
     est = PolytopeEstimate(
         corners=logits,
         center=center,
         distances=dists,
         diameter=max_pairwise_distance(logits),
-        objective_history=history,
+        objective_history=history[0],
     )
     return particles, est
 
@@ -319,11 +308,12 @@ def find_corners_many(
     seeds: Optional[Sequence[int]] = None,
     threads: int = 1,
 ) -> list[tuple[ParticleSet, PolytopeEstimate]]:
-    """Independent find_corners per row of X, optionally on a thread pool.
+    """find_corners per row of X, in row order.
 
-    Results are ordered by sample index and do not depend on the thread
-    count. When ``seeds`` is omitted, per-sample seeds derive from cfg.seed
-    and the row index.
+    Row i is bit-equal to find_corners(model, X[i], cfg with seeds[i]),
+    whatever the other rows are. When ``seeds`` is omitted, per-sample
+    seeds derive from cfg.seed and the row index. ``threads`` is accepted
+    for compatibility and has no effect.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -332,8 +322,7 @@ def find_corners_many(
         seeds = [derive_seed(cfg.seed, i) for i in range(X.shape[0])]
     if len(seeds) != X.shape[0]:
         raise ValueError("one seed per sample is required")
-    jobs = [(X[i], dataclasses.replace(cfg, seed=int(seeds[i]))) for i in range(X.shape[0])]
-    return parallel_map(lambda job: find_corners(model, job[0], job[1]), jobs, threads=threads)
+    return [find_corners(model, x, dataclasses.replace(cfg, seed=int(s))) for x, s in zip(X, seeds)]
 
 
 def mean_diameter(
@@ -343,6 +332,7 @@ def mean_diameter(
     seeds: Optional[Sequence[int]] = None,
     threads: int = 1,
 ) -> float:
-    """Mean polytope diameter over the rows of X (the compactness metric)."""
-    results = find_corners_many(model, X, cfg, seeds=seeds, threads=threads)
+    """Mean polytope diameter over the rows of X (the compactness metric).
+    ``threads`` is accepted for compatibility and has no effect."""
+    results = find_corners_many(model, X, cfg, seeds=seeds)
     return float(np.mean([est.diameter for _, est in results]))

@@ -28,16 +28,8 @@ import numpy as np
 from .attacks import AttackConfig, attack, clean_accuracy
 from .data import Dataset
 from .errors import NumericsError, ShapeError
-from .nn import (
-    MlpModel,
-    cross_entropy_rows,
-    forward,
-    grad_params,
-    label_index,
-    one_hot,
-    softmax,
-)
-from .polytope import CornerConfig, ParticleSet, corner_search_batch, max_pairwise_distance
+from .nn import MlpModel, cross_entropy_rows, forward, grad_params, softmax
+from .polytope import CornerConfig, corner_search_batch, max_pairwise_distance
 from .seeding import (
     STREAM_ATTACK,
     STREAM_PARTICLES,
@@ -155,40 +147,6 @@ def _ce_gradients(
     cot[np.arange(X.shape[0]), labels] -= 1.0
     cot /= X.shape[0]
     return grad_params(model, trace, cot), ce_rows
-
-
-def cap_loss(
-    model: MlpModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    corners: ParticleSet,
-    center: np.ndarray,
-    lam: float,
-) -> tuple[float, list[np.ndarray]]:
-    """Single-sample confinement loss and its parameter gradients.
-
-    ``corners`` and ``center`` are the corner-search outputs for (model, x)
-    at the current parameters; both are constants in the backward pass.
-    With lam = 0 this reduces exactly to the plain cross-entropy loss.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y_idx = label_index(np.asarray(y)) if np.asarray(y).ndim == 1 else int(y)
-    logits, trace = forward(model, x)
-    probs = softmax(logits)
-    ce = float(-np.log(max(probs[y_idx], 1e-300)))
-    grads = grad_params(model, trace, probs - one_hot(y_idx, len(probs)))
-    if lam == 0.0:
-        return ce, grads
-    center = np.asarray(center, dtype=np.float64)
-    if center.shape != (model.output_dim,):
-        raise ShapeError(
-            f"center length {center.shape} does not match output dim {model.output_dim}"
-        )
-    corner_logits, corner_trace = forward(model, x[None, :] + corners.particles)
-    resid = corner_logits - center[None, :]
-    reg = float((resid**2).sum())
-    reg_grads = grad_params(model, corner_trace, 2.0 * lam * resid)
-    return ce + lam * reg, [a + b for a, b in zip(grads, reg_grads)]
 
 
 def _batch_gradients(

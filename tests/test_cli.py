@@ -113,30 +113,23 @@ class TestTrainCommand:
 
 class TestEvalCommand:
     def test_epsilon_zero_matches_clean(self, tmp_path):
+        # --epsilon overrides [eval] epsilon with or without --attack
         cfg = write_mini(tmp_path, epochs=2)
         run = tmp_path / "run"
         main(["train", "--config", cfg, "--out", str(run)])
-        out = tmp_path / "ev"
-        code = main(
-            [
-                "eval",
-                "--config",
-                cfg,
-                "--checkpoint",
-                str(run / "checkpoint.json"),
-                "--out",
-                str(out),
-                "--attack",
-                "pgd-5",
-                "--epsilon",
-                "0",
-            ]
-        )
-        assert code == 0
-        doc = json.loads((out / "eval.json").read_text())
-        by_name = {r["attack"]: r for r in doc["results"]}
-        assert by_name["pgd-5"]["accuracy"] == by_name["clean"]["accuracy"]
-        assert doc["external"] == {"cw_linf": None, "autoattack": None}
+        for tag, attack in (("one", ["--attack", "pgd-5"]), ("suite", [])):
+            out = tmp_path / tag
+            code = main(
+                ["eval", "--config", cfg, "--checkpoint", str(run / "checkpoint.json")]
+                + ["--out", str(out), "--epsilon", "0"]
+                + attack
+            )
+            assert code == 0
+            doc = json.loads((out / "eval.json").read_text())
+            by_name = {r["attack"]: r for r in doc["results"]}
+            assert by_name["pgd-5"]["epsilon"] == 0.0
+            assert by_name["pgd-5"]["accuracy"] == by_name["clean"]["accuracy"]
+            assert doc["external"] == {"cw_linf": None, "autoattack": None}
 
     def test_repeat_eval_identical_json(self, tmp_path):
         cfg = write_mini(tmp_path, epochs=2)
@@ -402,3 +395,13 @@ class TestCompareCommand:
             assert main(argv) == 0
             outs.append(read_tree(out))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_invalid_thread_count_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the thread count has no effect but is still validated
+        cfg = write_mini(tmp_path, epochs=1)
+        argv = ["compare", "--config-a", cfg, "--config-b", cfg, "--out", str(tmp_path / "c")]
+        monkeypatch.delenv("CAP_LAB_THREADS", raising=False)
+        assert main(argv + ["--threads", "-1"]) == 2
+        monkeypatch.setenv("CAP_LAB_THREADS", "many")
+        assert main(argv) == 2
+        assert "CAP_LAB_THREADS" in capsys.readouterr().err

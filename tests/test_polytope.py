@@ -2,6 +2,7 @@
 dynamics against analytic and enumeration oracles, feasibility, determinism."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from caplab import (
     CornerConfig,
     Layer,
     MlpModel,
+    NumericsError,
     ParticleSet,
     PerturbationBudget,
     ascend_step,
@@ -206,11 +208,20 @@ class TestAscendStep:
         model = init_mlp(8, [3, 5, 2])
         budget = PerturbationBudget(0.15)
         x = rng.standard_normal(3)
-        p = init_particles(1, 1, 3, budget).particles[0]
+        P = init_particles(1, 6, 3, budget).particles
         center = rng.standard_normal(2)
         for _ in range(20):
-            p = ascend_step(model, x, p, center, eta=0.5, budget=budget)
-            assert np.abs(p).max() <= 0.15
+            P = ascend_step(model, x, P, center, eta=0.5, budget=budget)
+            assert P.shape == (6, 3)
+            assert np.abs(P).max() <= 0.15
+
+    def test_non_finite_gradient_names_the_row(self):
+        # row 0 sits at x + e = 0 with zero residual; row 1's gradient
+        # 2 W^T (W (x + e)) overflows to inf
+        model = linear_model([[1e200]])
+        P = np.array([[0.0], [0.1], [0.0]])
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="particle 1"):
+            ascend_step(model, np.zeros(1), P, np.zeros(1), eta=0.1, budget=PerturbationBudget(0.1))
 
 
 class TestFindCorners:
@@ -317,8 +328,9 @@ class TestFindCorners:
         assert np.isfinite(est.objective_history).all()
 
     def test_is_exactly_the_op_composition(self):
-        # find_corners must equal the literal loop of ascend_step per
-        # particle followed by empirical_center, bit-for-bit
+        # find_corners must equal the literal loop of one batched
+        # ascend_step over all particles followed by empirical_center,
+        # bit-for-bit
         model = init_mlp(33, [3, 9, 3])
         x = np.array([0.2, -0.5, 0.1])
         budget = PerturbationBudget(0.2)
@@ -328,17 +340,15 @@ class TestFindCorners:
         P = init_particles(17, 5, 3, budget).particles
         center = empirical_center(model, x, ParticleSet(P, budget, 17))
         for _ in range(6):
-            P = np.stack(
-                [ascend_step(model, x, P[n], center, 0.05, budget, n) for n in range(5)]
-            )
+            P = ascend_step(model, x, P, center, 0.05, budget)
             center = empirical_center(model, x, ParticleSet(P, budget, 17))
         assert np.array_equal(pset.particles, P)
         assert np.array_equal(est.center, center)
 
     def test_trainer_batch_engine_stays_close(self):
-        # the vectorized multi-sample engine fuses all ascent steps into one
-        # batched backward; values may differ from find_corners only by
-        # float reassociation
+        # a multi-sample batch fuses all ascent steps into one backward;
+        # BLAS may reassociate differently than on a batch of one, so values
+        # may differ from find_corners only by float reassociation
         from caplab.polytope import corner_search_batch
 
         model = init_mlp(34, [3, 10, 3])
@@ -391,6 +401,24 @@ class TestManySamples:
             assert np.array_equal(p1.particles, p2.particles)
             assert np.array_equal(e1.corners, e2.corners)
             assert e1.diameter == e2.diameter
+
+    def test_rows_do_not_depend_on_batch_composition(self):
+        # row i of find_corners_many is find_corners(X[i]) with seeds[i],
+        # bit-for-bit, whichever other rows share the call
+        model = init_mlp(17, [3, 8, 3])
+        rng = np.random.default_rng(32)
+        X = rng.standard_normal((7, 3))
+        seeds = [int(s) for s in rng.integers(0, 2**31, 7)]
+        cfg = CornerConfig(4, 6, 0.05, PerturbationBudget(0.15), seed=0)
+        for rows in (range(7), rng.permutation(7), [5, 2], [3]):
+            rows = [int(i) for i in rows]
+            got = find_corners_many(model, X[rows], cfg, seeds=[seeds[i] for i in rows])
+            for i, (pset, est) in zip(rows, got):
+                want_p, want = find_corners(model, X[i], replace(cfg, seed=seeds[i]))
+                assert np.array_equal(pset.particles, want_p.particles)
+                assert np.array_equal(est.corners, want.corners)
+                assert np.array_equal(est.center, want.center)
+                assert np.array_equal(est.objective_history, want.objective_history)
 
     def test_mean_diameter_matches_individual_runs(self):
         model = init_mlp(16, [2, 6, 2])

@@ -9,14 +9,17 @@ import pytest
 from caplab import (
     AttackConfig,
     CornerConfig,
+    MlpModel,
     OptimizerState,
+    ParticleSet,
     PerturbationBudget,
+    ShapeError,
     TrainConfig,
-    cap_loss,
     cross_entropy,
     find_corners,
     forward,
     gen_blobs,
+    grad_params,
     init_mlp,
     init_optimizer,
     one_hot,
@@ -24,7 +27,44 @@ from caplab import (
     softmax,
     train,
 )
-from caplab.nn import cross_entropy_rows
+from caplab.nn import cross_entropy_rows, label_index
+from caplab.seeding import STREAM_PARTICLES, derive_seed
+from caplab.train import _batch_gradients
+
+
+def cap_loss(
+    model: MlpModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    corners: ParticleSet,
+    center: np.ndarray,
+    lam: float,
+) -> tuple[float, list[np.ndarray]]:
+    """Single-sample confinement loss and its parameter gradients: the
+    reference oracle for the trainer's batched regularizer.
+
+    ``corners`` and ``center`` are the corner-search outputs for (model, x)
+    at the current parameters; both are constants in the backward pass.
+    With lam = 0 this reduces exactly to the plain cross-entropy loss.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y_idx = label_index(np.asarray(y)) if np.asarray(y).ndim == 1 else int(y)
+    logits, trace = forward(model, x)
+    probs = softmax(logits)
+    ce = float(-np.log(max(probs[y_idx], 1e-300)))
+    grads = grad_params(model, trace, probs - one_hot(y_idx, len(probs)))
+    if lam == 0.0:
+        return ce, grads
+    center = np.asarray(center, dtype=np.float64)
+    if center.shape != (model.output_dim,):
+        raise ShapeError(
+            f"center length {center.shape} does not match output dim {model.output_dim}"
+        )
+    corner_logits, corner_trace = forward(model, x[None, :] + corners.particles)
+    resid = corner_logits - center[None, :]
+    reg = float((resid**2).sum())
+    reg_grads = grad_params(model, corner_trace, 2.0 * lam * resid)
+    return ce + lam * reg, [a + b for a, b in zip(grads, reg_grads)]
 
 
 def tiny_polytope(eps=0.1):
@@ -152,6 +192,29 @@ class TestCapLoss:
                 flat[i] = orig
                 numeric = (up - dn) / (2 * h)
                 assert abs(gf[i] - numeric) / max(abs(gf[i]), abs(numeric), 1.0) < 1e-6
+
+    def test_batched_regularizer_matches_per_sample_oracle(self):
+        # the trainer's fused minibatch gradient is the mean of per-sample
+        # cap_loss gradients, each sample's corners searched on its own
+        ds = gen_blobs(18, 4, [[-1, 0], [1, 0], [0, 1.5]], 0.4)
+        model = init_mlp(6, [2, 8, 3])
+        cfg = clean_cfg(baseline_kind="cap", lam=0.6, seed=19)
+        ids = np.arange(ds.n_samples)
+        grads, ce_sum, reg_sum = _batch_gradients(model, ds.features, ds.labels, ids, cfg, 1, 0)
+        total = 0.0
+        want = [np.zeros_like(p) for p in model.parameters()]
+        for i in ids:
+            seed = derive_seed(cfg.seed, STREAM_PARTICLES, 1, int(i))
+            corners, est = find_corners(
+                model, ds.features[i], dataclasses.replace(cfg.polytope, seed=seed)
+            )
+            loss, g = cap_loss(model, ds.features[i], ds.labels[i], corners, est.center, cfg.lam)
+            total += loss
+            want = [w + gi / len(ids) for w, gi in zip(want, g)]
+        assert reg_sum > 0
+        assert ce_sum + reg_sum == pytest.approx(total, rel=1e-12)
+        for g, w in zip(grads, want):
+            assert np.allclose(g, w, rtol=1e-9, atol=1e-12)
 
     def test_center_length_mismatch_rejected(self):
         model, x, y, corners, est = self._fixture(4)
