@@ -357,8 +357,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Ask glibc's allocator to keep freed heap memory in the process.
+
+    The corner search allocates and frees the same few-hundred-kilobyte
+    temporaries on every step. By default glibc serves them with mmap or
+    trims them off the heap top once freed, so each step faults its pages
+    back in from the kernel. Serving blocks below 4 MiB from the heap and
+    trimming only past 64 MiB of free top memory removes those faults.
+    Both values are set: fixing only the trim threshold turns off glibc's
+    dynamic mmap threshold. Where there is no glibc mallopt this does
+    nothing; no output depends on it.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_memory()
     try:
         return args.fn(args)
     except NumericsError as exc:

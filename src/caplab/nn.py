@@ -153,6 +153,22 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     return logits, trace
 
 
+def _cotangent_rows(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray) -> np.ndarray:
+    """The cotangent as (batch, logits) rows, checked against the trace."""
+    if len(trace.inputs) != len(model.layers):
+        raise ShapeError("trace does not match model: layer count differs")
+    for k, layer in enumerate(model.layers):
+        if trace.inputs[k].shape[1] != layer.in_dim:
+            raise ShapeError(f"trace does not match model at layer {k}")
+    cot = np.asarray(cotangent, dtype=np.float64)
+    if cot.ndim == 1:
+        cot = cot.reshape(1, -1)
+    want = (trace.batch_size, model.output_dim)
+    if cot.shape != want:
+        raise ShapeError(f"cotangent shape {cot.shape} does not match logits shape {want}")
+    return cot
+
+
 def _backward(
     model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -162,22 +178,11 @@ def _backward(
     Relu uses subgradient 0 at exactly 0, so a pre-activation of 0.0 blocks
     the gradient.
     """
-    if len(trace.inputs) != len(model.layers):
-        raise ShapeError("trace does not match model: layer count differs")
-    cot = np.asarray(cotangent, dtype=np.float64)
-    if cot.ndim == 1:
-        cot = cot.reshape(1, -1)
-    want = (trace.batch_size, model.output_dim)
-    if cot.shape != want:
-        raise ShapeError(f"cotangent shape {cot.shape} does not match logits shape {want}")
-
-    delta = cot
+    delta = _cotangent_rows(model, trace, cotangent)
     weight_grads: list[np.ndarray] = []
     bias_grads: list[np.ndarray] = []
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
-        if trace.inputs[k].shape[1] != layer.in_dim:
-            raise ShapeError(f"trace does not match model at layer {k}")
         if layer.activation == "relu":
             delta = delta * (trace.preacts[k] > 0.0)
         weight_grads.append(delta.T @ trace.inputs[k])
@@ -202,9 +207,19 @@ def grad_params(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray) -> 
 
 
 def grad_input(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray) -> np.ndarray:
-    """Exact gradient of <cotangent, logits> w.r.t. the network input."""
-    _, gx = _backward(model, trace, cotangent)
-    return gx[0] if trace.squeeze else gx
+    """Exact gradient of <cotangent, logits> w.r.t. the network input.
+
+    The input-only reverse pass: the same relu masks and ``delta @ W``
+    products as ``_backward``, so the same bits, without the weight and bias
+    gradients that corner search and the attacks do not use.
+    """
+    delta = _cotangent_rows(model, trace, cotangent)
+    for k in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[k]
+        if layer.activation == "relu":
+            delta = delta * (trace.preacts[k] > 0.0)
+        delta = delta @ layer.weight
+    return delta[0] if trace.squeeze else delta
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -311,26 +326,61 @@ def model_to_dict(model: MlpModel) -> dict:
     }
 
 
+def _checkpoint_numbers(value, n: int, field: str) -> np.ndarray:
+    """A checkpoint list of n finite numbers as float64; errors name the field."""
+    if not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
+        raise ValueError(f"checkpoint {field}: expected a list of numbers")
+    if len(value) != n:
+        raise ShapeError(f"checkpoint {field}: expected {n} values, got {len(value)}")
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"checkpoint {field}: value outside the float64 range") from None
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise ValueError(f"checkpoint {field}[{int(np.argmax(bad))}]: non-finite value")
+    return arr
+
+
+def _checkpoint_int(rec: dict, key: str, field: str) -> int:
+    value = rec.get(key)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"checkpoint {field}.{key}: expected a positive integer, got {value!r}")
+    return value
+
+
 def model_from_dict(doc: dict) -> MlpModel:
+    """Rebuild a model from a checkpoint document, checking its structure,
+    types, lengths and that every parameter is finite. Errors are
+    ``ValueError``/``ShapeError`` naming the field, e.g. ``layers[1].bias``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint: expected a JSON object, got {type(doc).__name__}")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    recs = doc.get("layers")
+    if not isinstance(recs, list) or not recs:
+        raise ValueError("checkpoint layers: expected a non-empty list of layers")
     layers = []
-    for k, rec in enumerate(doc["layers"]):
-        rows, cols = int(rec["rows"]), int(rec["cols"])
-        w = np.asarray(rec["weights"], dtype=np.float64)
-        if w.size != rows * cols:
-            raise ShapeError(f"layer {k}: expected {rows * cols} weights, got {w.size}")
-        layers.append(
-            Layer(
-                weight=w.reshape(rows, cols),
-                bias=np.asarray(rec["bias"], dtype=np.float64),
-                activation=str(rec["activation"]),
+    for k, rec in enumerate(recs):
+        field = f"layers[{k}]"
+        if not isinstance(rec, dict):
+            raise ValueError(f"checkpoint {field}: expected an object")
+        rows = _checkpoint_int(rec, "rows", field)
+        cols = _checkpoint_int(rec, "cols", field)
+        activation = rec.get("activation")
+        if activation not in ACTIVATIONS:
+            raise ValueError(
+                f"checkpoint {field}.activation: expected one of {ACTIVATIONS}, got {activation!r}"
             )
-        )
+        w = _checkpoint_numbers(rec.get("weights"), rows * cols, f"{field}.weights")
+        b = _checkpoint_numbers(rec.get("bias"), rows, f"{field}.bias")
+        layers.append(Layer(weight=w.reshape(rows, cols), bias=b, activation=activation))
     model = MlpModel(layers=layers)
     dims = doc.get("dims", {})
-    if int(dims.get("input", model.input_dim)) != model.input_dim or int(
-        dims.get("output", model.output_dim)
+    if not isinstance(dims, dict):
+        raise ValueError("checkpoint dims: expected an object")
+    if dims.get("input", model.input_dim) != model.input_dim or dims.get(
+        "output", model.output_dim
     ) != model.output_dim:
         raise ShapeError("checkpoint dims do not match its layers")
     return model

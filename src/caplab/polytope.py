@@ -11,6 +11,11 @@ independent, so one batched forward/backward steps every particle of every
 sample at once. corner_search_batch is the only search engine; find_corners
 runs it on a batch of one.
 
+Sample b's particles are the stream of ``np.random.Philox(seed_b)``, with
+seed_b a ``derive_seed`` value. The seeds, the Philox keys and the draws of
+a batch are made together (see ``seeding``), bit-identical to making them
+one sample at a time.
+
 The returned particles are representatives of corner regions, not certified
 vertices of the true set.
 """
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import NumericsError, ShapeError
 from .nn import MlpModel, ForwardTrace, forward, grad_input
-from .seeding import derive_seed
+from .seeding import derive_seeds, philox_keys
 
 
 @dataclass(frozen=True)
@@ -121,19 +126,45 @@ def init_particles(
 ) -> ParticleSet:
     """Draw N particles with i.i.d. U(-epsilon, epsilon) coordinates.
 
-    Uses the counter-based Philox generator, so the same seed reproduces the
-    same set bit-for-bit regardless of what was drawn elsewhere.
+    The stream is ``np.random.Philox(seed)``, a counter-based generator, so
+    the same seed reproduces the same set bit-for-bit regardless of what was
+    drawn elsewhere. This is the batch-of-one case of the draw that
+    corner_search_batch makes for a whole batch.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = np.random.Generator(np.random.Philox(int(seed)))
-    eps = budget.epsilon
-    particles = rng.uniform(-eps, eps, size=(n_particles, dim))
-    # uniform() can round onto the open endpoint; keep the closed-box invariant exact
-    np.clip(particles, -eps, eps, out=particles)
+    particles = _uniform_particles([seed], n_particles, dim, budget.epsilon)[0]
     return ParticleSet(particles=particles, budget=budget, rng_seed=int(seed))
+
+
+def _uniform_particles(seeds, n_particles: int, dim: int, epsilon: float) -> np.ndarray:
+    """(B, N, d) particles with i.i.d. U(-epsilon, epsilon) coordinates;
+    sample b is drawn from ``np.random.Philox(seeds[b])``.
+
+    One Philox serves the batch. Before each sample its state is set to the
+    one ``Philox(seed)`` starts in (the seed's key, counter 0, empty
+    buffer), so numpy draws exactly the stream a fresh generator would.
+    """
+    keys = philox_keys(seeds)
+    zero = np.zeros(4, dtype=np.uint64)
+    # a fixed seed, so building it reads no OS entropy; its state is replaced below
+    gen = np.random.Generator(np.random.Philox(0))
+    out = np.empty((keys.shape[0], n_particles, dim), dtype=np.float64)
+    for b, key in enumerate(keys):
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zero, "key": key},
+            "buffer": zero,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        out[b] = gen.uniform(-epsilon, epsilon, size=(n_particles, dim))
+    # uniform() can round onto the open endpoint; keep the closed-box invariant exact
+    np.clip(out, -epsilon, epsilon, out=out)
+    return out
 
 
 def project(
@@ -212,10 +243,12 @@ def corner_search_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ForwardTrace]:
     """Vectorized corner search for B samples at once (the trainer's path).
 
-    Semantics are sample-wise: particles of different samples never
-    interact, and each sample's center reduction runs in ascending particle
-    order. All B*N ascent steps per iteration are fused into one batched
-    forward/backward. BLAS may reassociate sums differently for different
+    ``seeds`` holds one seed per sample, as ints or a uint64 array; sample
+    b's particles start from ``np.random.Philox(seeds[b])``, drawn for the
+    whole batch at once. Semantics are sample-wise: particles of different
+    samples never interact, and each sample's center reduction runs in
+    ascending particle order. All B*N ascent steps per iteration are fused
+    into one batched forward/backward. BLAS may reassociate sums differently for different
     row counts, so a sample's bits can depend on which samples share its
     batch (~1e-15 relative); find_corners always runs a batch of one.
 
@@ -230,7 +263,7 @@ def corner_search_batch(
         raise ValueError("one seed per sample is required")
     N, T, eta, budget = cfg.n_particles, cfg.steps, cfg.eta, cfg.budget
 
-    P = np.stack([init_particles(s, N, d, budget).particles for s in seeds])
+    P = _uniform_particles(seeds, N, d, budget.epsilon)
     Xb = X[:, None, :]
     # Establish x + e feasibility up front; a pure epsilon-box budget is
     # already satisfied by construction, so this clamp is then a no-op.
@@ -319,7 +352,7 @@ def find_corners_many(
     if X.ndim != 2:
         raise ShapeError(f"X must be (n, d), got {X.shape}")
     if seeds is None:
-        seeds = [derive_seed(cfg.seed, i) for i in range(X.shape[0])]
+        seeds = derive_seeds(cfg.seed, (), np.arange(X.shape[0]))
     if len(seeds) != X.shape[0]:
         raise ValueError("one seed per sample is required")
     return [find_corners(model, x, dataclasses.replace(cfg, seed=int(s))) for x, s in zip(X, seeds)]

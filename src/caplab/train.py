@@ -36,6 +36,7 @@ from .seeding import (
     STREAM_PROBE,
     STREAM_SHUFFLE,
     derive_seed,
+    derive_seeds,
 )
 
 BASELINE_KINDS = ("cap", "clean", "vanilla_at")
@@ -174,7 +175,7 @@ def _batch_gradients(
         return grads, float(ce_rows.sum()), 0.0
 
     B = X.shape[0]
-    seeds = [derive_seed(cfg.seed, STREAM_PARTICLES, epoch, int(i)) for i in sample_ids]
+    seeds = derive_seeds(cfg.seed, (STREAM_PARTICLES, epoch), sample_ids)
     _, L, centers, _, corner_trace = corner_search_batch(model, X, seeds, cfg.polytope)
     resid = L - centers[:, None, :]
     reg_rows = (resid**2).sum(axis=(1, 2))
@@ -185,7 +186,7 @@ def _batch_gradients(
 
 
 def _probe_mean_diameter(model: MlpModel, probe: np.ndarray, cfg: TrainConfig, epoch: int) -> float:
-    seeds = [derive_seed(cfg.seed, STREAM_PROBE, epoch, i) for i in range(probe.shape[0])]
+    seeds = derive_seeds(cfg.seed, (STREAM_PROBE, epoch), np.arange(probe.shape[0]))
     _, L, _, _, _ = corner_search_batch(model, probe, seeds, cfg.polytope)
     return float(np.mean([max_pairwise_distance(L[i]) for i in range(L.shape[0])]))
 

@@ -16,6 +16,7 @@ from caplab import (
 )
 from caplab.cli import main
 from caplab.config import build_datasets, load_run_config
+from caplab.nn import init_mlp, model_to_dict
 
 MINI = """
 [run]
@@ -67,6 +68,16 @@ def read_tree(root, exclude=("run.log",)):
     return out
 
 
+def _drop_second_bias(doc):
+    del doc["layers"][1]["bias"]
+    return doc
+
+
+def _nan_second_weight(doc):
+    doc["layers"][1]["weights"][3] = float("nan")
+    return doc
+
+
 class TestTrainCommand:
     def test_minimal_config_writes_three_files(self, tmp_path):
         cfg = write_mini(tmp_path, epochs=1)
@@ -97,6 +108,25 @@ class TestTrainCommand:
         t1, t2 = read_tree(out1), read_tree(out2)
         assert t1.keys() == t2.keys()
         assert t1 == t2
+
+    @pytest.mark.parametrize("failure", ["no-mallopt", "oserror"])
+    def test_train_without_mallopt_writes_same_bytes(self, tmp_path, monkeypatch, failure):
+        import ctypes
+
+        cfg = write_mini(tmp_path, epochs=1)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "tuned")]) == 0
+        lookups = []
+
+        def cdll(*args, **kwargs):
+            lookups.append(args)
+            if failure == "oserror":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+        assert len(lookups) == 1
+        assert read_tree(tmp_path / "tuned") == read_tree(tmp_path / "plain")
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_mini(tmp_path, epochs=1)
@@ -182,6 +212,28 @@ class TestEvalCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["eval", "--config", cfg, "--checkpoint", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "mangle, field",
+        [
+            (lambda doc: {k: v for k, v in doc.items() if k != "layers"}, "layers"),
+            (lambda doc: {**doc, "layers": 5}, "layers"),
+            (_drop_second_bias, "layers[1].bias"),
+            (lambda doc: [doc], "JSON object"),
+            (_nan_second_weight, "layers[1].weights"),
+        ],
+        ids=["no-layers", "layers-not-a-list", "no-bias", "top-level-list", "nan-weight"],
+    )
+    def test_malformed_checkpoint_exits_2_naming_field(self, tmp_path, capsys, mangle, field):
+        cfg = write_mini(tmp_path)
+        doc = mangle(model_to_dict(init_mlp(0, [2, 16, 3])))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval", "--config", cfg, "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err
+        assert "Traceback" not in err
 
 
 class TestCornersCommand:

@@ -21,7 +21,7 @@ from caplab import (
     save_model,
     softmax,
 )
-from caplab.nn import model_from_dict, model_to_dict
+from caplab.nn import _backward, model_from_dict, model_to_dict
 
 
 def naive_forward(model, x):
@@ -292,6 +292,25 @@ class TestGradients:
         _, trace = forward(model, x)
         assert trace.preacts[0][0, 0] == 0.0
         assert grad_input(model, trace, np.array([1.0])) == np.array([0.0])
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_input_only_pass_is_bitwise_the_full_reverse_pass(self, activation, batched):
+        rng = np.random.default_rng(19)
+        model, dims = random_model(rng, dims=[3, 7, 5, 2])
+        for layer in model.layers[:-1]:
+            layer.activation = activation
+        X = rng.standard_normal((6, 3))
+        # row 0 puts hidden unit 0 at a pre-activation of exactly 0.0
+        X[0] = 0.0
+        model.layers[0].bias[:] = rng.standard_normal(7)
+        model.layers[0].bias[0] = 0.0
+        x = X if batched else X[0]
+        _, trace = forward(model, x)
+        assert trace.preacts[0][0, 0] == 0.0
+        cot = rng.standard_normal((6, 2) if batched else 2)
+        _, full = _backward(model, trace, cot)
+        assert np.array_equal(grad_input(model, trace, cot), full if batched else full[0])
 
     def test_batched_grads_accumulate_rows(self):
         rng = np.random.default_rng(16)
