@@ -20,7 +20,6 @@ from .nn import (
     init_mlp,
     load_model,
     one_hot,
-    predict_classes,
     save_model,
     softmax,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "mean_diameter",
     "one_hot",
     "pgd",
-    "predict_classes",
     "project",
     "robust_accuracy",
     "save_csv",

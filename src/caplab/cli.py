@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import datetime
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -36,8 +35,6 @@ from .polytope import find_corners, mean_diameter
 from .svg import corner_scatter_svg
 from .train import train, report_to_dict, write_history_csv
 
-THREADS_ENV = "CAP_LAB_THREADS"
-
 
 def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -49,32 +46,25 @@ def _log(out_dir: Path, message: str) -> None:
         f.write(f"{stamp} {message}\n")
 
 
-def _resolve_out(args, rc: RunConfig) -> Path:
-    out = args.out or rc.out
-    if not out:
+def _resolve_out(rc: RunConfig) -> Path:
+    if not rc.out:
         raise ConfigError("no output directory: pass --out or set run.out in the config")
-    path = Path(out)
+    path = Path(rc.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _check_threads(args) -> None:
-    """Validate --threads / CAP_LAB_THREADS; the value has no effect."""
-    raw = args.threads if args.threads is not None else os.environ.get(THREADS_ENV, "0")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV}: expected an integer, got {raw!r}") from None
-    if threads < 0:
-        raise ConfigError(f"threads: must be >= 0, got {threads}")
-
-
-def _load_config(args) -> RunConfig:
-    rc = load_run_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        rc.seed = int(args.seed)
-        rc.values["run"]["seed"] = int(args.seed)
-    return rc
+def _load_config(args, path: str) -> RunConfig:
+    """The config at ``path`` with every flag whose dest is ``section.key``
+    merged over that key; a repeated flag's values are comma-joined."""
+    overrides: dict[str, dict[str, object]] = {}
+    for dest, value in vars(args).items():
+        if "." in dest:
+            section, key = dest.split(".")
+            overrides.setdefault(section, {})[key] = (
+                ",".join(value) if isinstance(value, list) else value
+            )
+    return load_run_config(path, overrides)
 
 
 def _dataset_summary(train_ds: Dataset, test_ds: Dataset) -> dict:
@@ -104,8 +94,8 @@ def _run_training(rc: RunConfig, out_dir: Path) -> tuple[MlpModel, Dataset, Data
 
 
 def cmd_train(args) -> int:
-    rc = _load_config(args)
-    out_dir = _resolve_out(args, rc)
+    rc = _load_config(args, args.config)
+    out_dir = _resolve_out(rc)
     _run_training(rc, out_dir)
     print(f"wrote checkpoint.json, report.json, history.csv to {out_dir}")
     return 0
@@ -139,17 +129,8 @@ def _evaluate_suite(
 
 
 def cmd_eval(args) -> int:
-    rc = _load_config(args)
-    out_dir = _resolve_out(args, rc)
-    ev = rc.values["eval"]
-    if args.attack:
-        ev["attacks"] = ",".join(args.attack)
-    if args.epsilon is not None:
-        ev["epsilon"] = args.epsilon
-    if args.alpha is not None:
-        ev["alpha"] = args.alpha
-    if args.no_random_start:
-        ev["random_start"] = False
+    rc = _load_config(args, args.config)
+    out_dir = _resolve_out(rc)
     suite = build_eval_suite(rc)
     model = load_model(args.checkpoint)
     _, test_ds = build_datasets(rc)
@@ -169,8 +150,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_corners(args) -> int:
-    rc = _load_config(args)
-    out_dir = _resolve_out(args, rc)
+    rc = _load_config(args, args.config)
+    out_dir = _resolve_out(rc)
     model = load_model(args.checkpoint)
 
     if args.sample_file:
@@ -186,17 +167,8 @@ def cmd_corners(args) -> int:
     x = features[args.sample_index]
 
     cfg = build_corner_config(rc)
-    overrides = {}
-    if args.particles is not None:
-        overrides["n_particles"] = args.particles
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.epsilon is not None:
-        overrides["budget"] = dataclasses.replace(cfg.budget, epsilon=args.epsilon)
-    overrides["seed"] = args.corner_seed if args.corner_seed is not None else rc.seed
-    cfg = dataclasses.replace(cfg, **overrides)
+    if args.corner_seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.corner_seed)
 
     _log(out_dir, f"corners start: sample={args.sample_index} N={cfg.n_particles} T={cfg.steps}")
     _, est = find_corners(model, x, cfg)
@@ -239,18 +211,11 @@ def _require_shared(rc_a: RunConfig, rc_b: RunConfig) -> None:
 
 
 def cmd_compare(args) -> int:
-    rc_a = load_run_config(args.config_a)
-    rc_b = load_run_config(args.config_b)
-    if args.seed is not None:
-        for rc in (rc_a, rc_b):
-            rc.seed = int(args.seed)
-            rc.values["run"]["seed"] = int(args.seed)
+    rc_a = _load_config(args, args.config_a)
+    rc_b = _load_config(args, args.config_b)
     _require_shared(rc_a, rc_b)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is None:
-        raise ConfigError("compare: --out is required")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _check_threads(args)
 
     rows = []
     for tag, rc in (("a", rc_a), ("b", rc_b)):
@@ -303,15 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="run config file (INI)")
-        p.add_argument("--out", help="output directory (overrides run.out)")
-        p.add_argument("--seed", type=int, help="override the config's global seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            help=f"accepted for compatibility (env {THREADS_ENV}); has no effect",
-        )
+    # a flag whose dest is "section.key" overrides that config key
+    def common(p):
+        p.add_argument("--config", required=True, help="run config file (INI)")
+        p.add_argument("--out", dest="run.out", help="output directory (overrides run.out)")
+        p.add_argument("--seed", dest="run.seed", type=int, help="override run.seed")
 
     p_train = sub.add_parser("train", help="train a model per the config")
     common(p_train)
@@ -322,14 +283,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument(
         "--attack",
+        dest="eval.attacks",
         action="append",
-        default=[],
-        help="attack token (fgsm or pgd-<steps>); repeatable; default: config [eval] suite",
+        help="attack token (fgsm or pgd-<steps>); repeatable; overrides eval.attacks",
     )
-    p_eval.add_argument("--epsilon", type=float, help="override [eval] epsilon")
-    p_eval.add_argument("--alpha", type=float, help="override [eval] alpha (pgd step size)")
+    p_eval.add_argument("--epsilon", dest="eval.epsilon", type=float, help="override eval.epsilon")
     p_eval.add_argument(
-        "--no-random-start", action="store_true", help="override [eval] random_start to false"
+        "--alpha", dest="eval.alpha", type=float, help="override eval.alpha (pgd step size)"
+    )
+    p_eval.add_argument(
+        "--no-random-start",
+        dest="eval.random_start",
+        action="store_const",
+        const=False,
+        help="override eval.random_start to false",
     )
     p_eval.set_defaults(fn=cmd_eval)
 
@@ -339,19 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_corners.add_argument("--sample-index", type=int, default=0)
     p_corners.add_argument("--sample-file", help="headerless CSV with feature rows + label column")
     p_corners.add_argument("--split", choices=("train", "test"), default="test")
-    p_corners.add_argument("--particles", type=int)
-    p_corners.add_argument("--steps", type=int)
-    p_corners.add_argument("--eta", type=float)
-    p_corners.add_argument("--epsilon", type=float)
-    p_corners.add_argument("--corner-seed", type=int)
+    p_corners.add_argument("--particles", dest="polytope.particles", type=int)
+    p_corners.add_argument("--steps", dest="polytope.steps", type=int)
+    p_corners.add_argument("--eta", dest="polytope.eta", type=float)
+    p_corners.add_argument("--epsilon", dest="polytope.epsilon", type=float)
+    p_corners.add_argument("--corner-seed", type=int, help="search seed (default: run.seed)")
     p_corners.set_defaults(fn=cmd_corners)
 
     p_cmp = sub.add_parser("compare", help="train two configs and tabulate their metrics")
     p_cmp.add_argument("--config-a", required=True)
     p_cmp.add_argument("--config-b", required=True)
     p_cmp.add_argument("--out", required=True)
-    p_cmp.add_argument("--seed", type=int, help="override both configs' global seed")
-    p_cmp.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
+    p_cmp.add_argument("--seed", dest="run.seed", type=int, help="override both configs' run.seed")
     p_cmp.set_defaults(fn=cmd_compare)
 
     return parser

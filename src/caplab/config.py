@@ -7,7 +7,7 @@ offending field named in the message.
 
 Sections:
 
-  [run]       seed, threads (validated, no effect), out
+  [run]       seed, out
   [data]      kind = blobs | moons | csv, plus the generator's parameters
   [model]     hidden layer widths and activation
   [train]     trainer kind and optimization hyperparameters
@@ -17,7 +17,9 @@ Sections:
 
 Every random stream derives from [run] seed; configs carry no other
 entropy. Schedules (epochs, lr, drops) always come from the file, never
-from built-in defaults.
+from built-in defaults. Command-line flags arrive as overrides merged over
+the file before parsing, so a flag is parsed and checked exactly like the
+key it stands for.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ _EVAL_TOKEN = re.compile(r"^(fgsm|pgd-(\d+))$")
 _SCHEMA: dict[str, dict[str, tuple[str, bool, object]]] = {
     "run": {
         "seed": ("int", False, 0),
-        "threads": ("int", False, 0),
         "out": ("str", False, None),
     },
     "data": {
@@ -111,7 +112,6 @@ class RunConfig:
 
     path: str
     seed: int
-    threads: int
     out: Optional[str]
     values: dict[str, dict[str, object]] = field(default_factory=dict)
 
@@ -142,11 +142,24 @@ def _parse_value(section: str, key: str, kind: str, raw: str):
     return raw
 
 
-def load_run_config(path: str) -> RunConfig:
+def load_run_config(
+    path: str, overrides: Optional[dict[str, dict[str, object]]] = None
+) -> RunConfig:
+    """Parse and validate the config file at ``path``.
+
+    ``overrides`` maps section -> key -> value and is merged over the file
+    before parsing, so an override goes through the same parsing and range
+    checks as the file's key (errors name ``section.key``). A value of None
+    keeps the file's value.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as f:
             parser.read_file(f, source=path)
+        for section, keys in (overrides or {}).items():
+            given = {key: value for key, value in keys.items() if value is not None}
+            if given:
+                parser.read_dict({section: given})
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -176,7 +189,6 @@ def load_run_config(path: str) -> RunConfig:
     rc = RunConfig(
         path=path,
         seed=int(values["run"]["seed"]),
-        threads=int(values["run"]["threads"]),
         out=values["run"]["out"],
         values=values,
     )
@@ -195,8 +207,7 @@ def _positive(rc: RunConfig, section: str, key: str, strict: bool = True) -> Non
 
 
 def _validate(rc: RunConfig) -> None:
-    if rc.threads < 0:
-        raise ConfigError("run.threads: must be >= 0")
+    _positive(rc, "run", "seed", strict=False)
 
     data = rc.section("data")
     kind = data["kind"]

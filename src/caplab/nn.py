@@ -276,12 +276,6 @@ def cross_entropy_rows(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(picked, PROB_FLOOR))
 
 
-def predict_classes(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest class index."""
-    logits, _ = forward(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    return np.argmax(logits, axis=1)
-
-
 def init_mlp(seed: int, dims: Sequence[int], hidden_activation: str = "relu") -> MlpModel:
     """Build a seeded MLP with He-scaled normal weights and zero biases.
 

@@ -345,8 +345,10 @@ def find_corners_many(
 
     Row i is bit-equal to find_corners(model, X[i], cfg with seeds[i]),
     whatever the other rows are. When ``seeds`` is omitted, per-sample
-    seeds derive from cfg.seed and the row index. ``threads`` is accepted
-    for compatibility and has no effect.
+    seeds derive from cfg.seed and the row index. ``threads`` has no
+    effect: rows run one at a time so that each row's bits do not depend on
+    the others. It is still accepted so that callers which pass it keep
+    working.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -366,6 +368,7 @@ def mean_diameter(
     threads: int = 1,
 ) -> float:
     """Mean polytope diameter over the rows of X (the compactness metric).
-    ``threads`` is accepted for compatibility and has no effect."""
+    ``threads`` has no effect and is accepted for the same reason as in
+    find_corners_many."""
     results = find_corners_many(model, X, cfg, seeds=seeds)
     return float(np.mean([est.diameter for _, est in results]))

@@ -19,7 +19,6 @@ shared random stream, so runs are bit-reproducible.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,7 +86,6 @@ class OptimizerState:
 
     velocities: list[np.ndarray]
     lr: float
-    epoch: int = 0
 
 
 @dataclass
@@ -98,21 +96,17 @@ class EpochRecord:
     reg_term: float
     mean_diameter: Optional[float]
     lr: float
-    wall_clock: float
 
 
 @dataclass
 class TrainReport:
     records: list[EpochRecord] = field(default_factory=list)
     config: Optional[TrainConfig] = None
-    wall_clock_total: float = 0.0
     checkpoint: Optional[str] = None  # where the final model was saved, if anywhere
 
 
 def init_optimizer(model: MlpModel, cfg: TrainConfig) -> OptimizerState:
-    return OptimizerState(
-        velocities=[np.zeros_like(p) for p in model.parameters()], lr=cfg.lr, epoch=0
-    )
+    return OptimizerState(velocities=[np.zeros_like(p) for p in model.parameters()], lr=cfg.lr)
 
 
 def sgd_step(
@@ -210,14 +204,11 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> tuple[MlpModel
     params = model.parameters()
     report = TrainReport(config=cfg)
     probe = dataset.features[: cfg.probe_size] if cfg.probe_size > 0 else None
-    t_start = time.perf_counter()
 
     for epoch in range(1, cfg.epochs + 1):
-        t_epoch = time.perf_counter()
         for drop_epoch, divisor in cfg.lr_drops:
             if drop_epoch == epoch:
                 state.lr /= divisor
-        state.epoch = epoch
         perm = np.random.default_rng(derive_seed(cfg.seed, STREAM_SHUFFLE, epoch)).permutation(
             dataset.n_samples
         )
@@ -258,21 +249,17 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> tuple[MlpModel
                     _probe_mean_diameter(model, probe, cfg, epoch) if probe is not None else None
                 ),
                 lr=state.lr,
-                wall_clock=time.perf_counter() - t_epoch,
             )
         )
 
-    report.wall_clock_total = time.perf_counter() - t_start
     return model, report
 
 
-def report_to_dict(report: TrainReport, include_timing: bool = False) -> dict:
-    """JSON-ready view of a report. Timing is excluded by default so that
-    persisted reports are byte-identical across reruns; wall-clock lives in
-    the run log instead."""
-    recs = []
-    for r in report.records:
-        rec = {
+def report_to_dict(report: TrainReport) -> dict:
+    """JSON-ready view of a report. It holds no timing, so persisted reports
+    are byte-identical across reruns; wall-clock lives in the run log."""
+    recs = [
+        {
             "epoch": r.epoch,
             "clean_acc": r.clean_acc,
             "ce_term": r.ce_term,
@@ -280,18 +267,14 @@ def report_to_dict(report: TrainReport, include_timing: bool = False) -> dict:
             "mean_diameter": r.mean_diameter,
             "lr": r.lr,
         }
-        if include_timing:
-            rec["wall_clock"] = r.wall_clock
-        recs.append(rec)
-    out = {
+        for r in report.records
+    ]
+    return {
         "config": dataclasses.asdict(report.config) if report.config is not None else None,
         "records": recs,
         "checkpoint": report.checkpoint,
         "seed": report.config.seed if report.config is not None else None,
     }
-    if include_timing:
-        out["wall_clock_total"] = report.wall_clock_total
-    return out
 
 
 def write_history_csv(report: TrainReport, path: str) -> None:

@@ -432,28 +432,45 @@ class TestCompareCommand:
         assert doc["status"] == "incomplete"
         assert "b.ini" in doc["failed"]
 
-    def test_thread_flag_and_env_do_not_change_results(self, tmp_path, monkeypatch):
-        cfg = write_mini(tmp_path, epochs=2)
-        outs = []
-        for tag, threads, env in (("t1", "1", None), ("t8", "8", None), ("te", None, "4")):
-            out = tmp_path / tag
-            argv = ["compare", "--config-a", cfg, "--config-b", cfg, "--out", str(out)]
-            if threads:
-                argv += ["--threads", threads]
-            if env:
-                monkeypatch.setenv("CAP_LAB_THREADS", env)
-            else:
-                monkeypatch.delenv("CAP_LAB_THREADS", raising=False)
-            assert main(argv) == 0
-            outs.append(read_tree(out))
-        assert outs[0] == outs[1] == outs[2]
 
-    def test_invalid_thread_count_exits_2(self, tmp_path, monkeypatch, capsys):
-        # the thread count has no effect but is still validated
-        cfg = write_mini(tmp_path, epochs=1)
-        argv = ["compare", "--config-a", cfg, "--config-b", cfg, "--out", str(tmp_path / "c")]
-        monkeypatch.delenv("CAP_LAB_THREADS", raising=False)
-        assert main(argv + ["--threads", "-1"]) == 2
-        monkeypatch.setenv("CAP_LAB_THREADS", "many")
-        assert main(argv) == 2
-        assert "CAP_LAB_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, flags, key",
+    [
+        ("train", ["--seed", "-1"], "run.seed"),
+        ("eval", ["--epsilon", "-1"], "eval.epsilon"),
+        ("eval", ["--attack", "fgsm", "--alpha", "0"], "eval.alpha"),
+        ("corners", ["--particles", "0"], "polytope.particles"),
+        ("corners", ["--eta", "-1"], "polytope.eta"),
+    ],
+)
+def test_flag_is_checked_like_its_config_key(tmp_path, capsys, command, flags, key):
+    cfg = write_mini(tmp_path)
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(json.dumps(model_to_dict(init_mlp(0, [2, 16, 3]))))
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out), *flags]
+    if command != "train":
+        argv += ["--checkpoint", str(ckpt)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+    assert not out.exists()  # rejected before any work starts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--config", "c.ini"],
+        ["eval", "--config", "c.ini", "--checkpoint", "m.json"],
+        ["corners", "--config", "c.ini", "--checkpoint", "m.json"],
+        ["compare", "--config-a", "c.ini", "--config-b", "c.ini"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_threads_flag_is_rejected(tmp_path, capsys, argv):
+    argv = argv + ["--out", str(tmp_path / "out"), "--threads", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err

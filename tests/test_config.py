@@ -43,7 +43,7 @@ def write(tmp_path, text, name="cfg.ini"):
 class TestStrictParsing:
     def test_minimal_config_loads_with_defaults(self, tmp_path):
         rc = load_run_config(write(tmp_path, BASE))
-        assert rc.seed == 0 and rc.threads == 0 and rc.out is None
+        assert rc.seed == 0 and rc.out is None
         poly = rc.section("polytope")
         assert poly["particles"] == 10
         assert poly["steps"] == 40
@@ -87,6 +87,17 @@ class TestStrictParsing:
         assert cfg.attack is not None
         assert cfg.attack.steps == 4
         assert cfg.attack.epsilon == 8 / 255  # inherits polytope default
+
+    def test_overrides_are_parsed_like_file_keys(self, tmp_path):
+        path = write(tmp_path, BASE + "\n[run]\nseed = 5\n\n[polytope]\nsteps = 7\n")
+        rc = load_run_config(path, {"run": {"seed": 9}, "polytope": {"steps": None, "eta": 0.5}})
+        assert rc.seed == 9 and rc.section("run")["seed"] == 9  # override beats the file
+        assert rc.section("polytope")["steps"] == 7  # None keeps the file's value
+        assert rc.section("polytope")["eta"] == 0.5
+        with pytest.raises(ConfigError, match="unknown key run.threads"):
+            load_run_config(path, {"run": {"threads": 1}})
+        with pytest.raises(ConfigError, match="polytope.particles: must be > 0"):
+            load_run_config(path, {"polytope": {"particles": 0}})
 
 
 class TestValueParsers:
