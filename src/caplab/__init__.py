@@ -29,7 +29,6 @@ from .polytope import (
     PerturbationBudget,
     PolytopeEstimate,
     ascend_step,
-    diameter,
     empirical_center,
     find_corners,
     find_corners_many,
@@ -73,7 +72,6 @@ __all__ = [
     "attack",
     "clean_accuracy",
     "cross_entropy",
-    "diameter",
     "empirical_center",
     "fgsm",
     "find_corners",

@@ -2,8 +2,17 @@
 
 Format: flat INI sections with key = value lines. Parsing is strict: an
 unknown section or key is an error (silent hyperparameter typos are the
-failure mode this prevents), and every value is range-checked with the
-offending field named in the message.
+failure mode this prevents).
+
+``_SCHEMA`` is the one description of every key: its row is
+``(parser, default)``. The parser turns the key's text into the typed
+value and range-checks it; a key with the default ``REQUIRED`` must be
+set. Loading parses every key that is set, even one the chosen data kind
+does not use, and fills in the defaults, so the builders and callers of
+``RunConfig.section`` read typed values and errors name ``section.key``.
+Two defaults are derived once at load: ``attack.epsilon`` and
+``eval.epsilon`` fall back to ``polytope.epsilon``, and an unset
+``polytope.input_clip`` is ``(0, 1)`` for min-max-scaled CSV data.
 
 Sections:
 
@@ -25,9 +34,11 @@ key it stands for.
 from __future__ import annotations
 
 import configparser
+import copy
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .attacks import AttackConfig
 from .data import Dataset, gen_blobs, gen_moons, load_csv, split
@@ -45,238 +56,62 @@ from .train import TrainConfig
 
 _EVAL_TOKEN = re.compile(r"^(fgsm|pgd-(\d+))$")
 
-# section -> {key: (kind, required, default)}; kind drives the value parser
-_SCHEMA: dict[str, dict[str, tuple[str, bool, object]]] = {
-    "run": {
-        "seed": ("int", False, 0),
-        "out": ("str", False, None),
-    },
-    "data": {
-        "kind": ("str", True, None),
-        "n_per_class": ("int", False, None),
-        "test_n_per_class": ("int", False, None),
-        "centers": ("str", False, None),
-        "sigma": ("float", False, None),
-        "noise": ("float", False, None),
-        "path": ("str", False, None),
-        "label_column": ("str", False, "-1"),
-        "has_header": ("bool", False, False),
-        "feature_scaling": ("str", False, "none"),
-        "test_fraction": ("float", False, None),
-    },
-    "model": {
-        "hidden": ("str", True, None),
-        "activation": ("str", False, "relu"),
-    },
-    "train": {
-        "kind": ("str", True, None),
-        "epochs": ("int", True, None),
-        "lr": ("float", True, None),
-        "lr_drops": ("str", False, ""),
-        "lambda": ("float", False, 0.6),
-        "batch_size": ("int", False, 128),
-        "momentum": ("float", False, 0.9),
-        "weight_decay": ("float", False, 0.0005),
-        "probe_size": ("int", False, 0),
-    },
-    "polytope": {
-        "particles": ("int", False, 10),
-        "steps": ("int", False, 40),
-        "eta": ("float", False, 2 / 255),
-        "epsilon": ("float", False, 8 / 255),
-        "input_clip": ("str", False, None),
-    },
-    "attack": {
-        "kind": ("str", False, "pgd"),
-        "epsilon": ("float", False, None),  # defaults to polytope epsilon
-        "alpha": ("float", False, 2 / 255),
-        "steps": ("int", False, 10),
-        "random_start": ("bool", False, True),
-    },
-    "eval": {
-        "attacks": ("str", False, "fgsm, pgd-20"),
-        "epsilon": ("float", False, None),  # defaults to polytope epsilon
-        "alpha": ("float", False, 2 / 255),
-        "random_start": ("bool", False, True),
-    },
-}
-
-_REQUIRED_SECTIONS = ("data", "model", "train")
-
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-@dataclass
-class RunConfig:
-    """Parsed and validated run description."""
+@dataclass(frozen=True)
+class _Number:
+    """Parser for a finite int or float, bounded below by ``low`` (``> low``
+    when ``strict``, else ``>= low``) and, if given, strictly below ``high``."""
 
-    path: str
-    seed: int
-    out: Optional[str]
-    values: dict[str, dict[str, object]] = field(default_factory=dict)
+    cast: type
+    low: float = 0
+    strict: bool = True
+    high: Optional[float] = None
 
-    def section(self, name: str) -> dict[str, object]:
-        return self.values[name]
-
-
-def _parse_value(section: str, key: str, kind: str, raw: str):
-    where = f"{section}.{key}"
-    raw = raw.strip()
-    if kind == "int":
+    def __call__(self, raw: str):
         try:
-            return int(raw)
+            value = self.cast(raw)
         except ValueError:
-            raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
-    if kind == "float":
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ConfigError(f"{where}: must be finite")
+            noun = "an integer" if self.cast is int else "a number"
+            raise ValueError(f"expected {noun}, got {raw!r}") from None
+        if value != value or value in (math.inf, -math.inf):
+            raise ValueError("must be finite")
+        if value <= self.low if self.strict else value < self.low:
+            raise ValueError(f"must be {'>' if self.strict else '>='} {self.low}, got {value}")
+        if self.high is not None and value >= self.high:
+            raise ValueError(f"must be < {self.high}, got {value}")
         return value
-    if kind == "bool":
-        if raw.lower() not in _BOOL_WORDS:
-            raise ConfigError(f"{where}: expected true/false, got {raw!r}")
-        return _BOOL_WORDS[raw.lower()]
-    return raw
 
 
-def load_run_config(
-    path: str, overrides: Optional[dict[str, dict[str, object]]] = None
-) -> RunConfig:
-    """Parse and validate the config file at ``path``.
+def _choice(*options: str) -> Callable:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected {', '.join(options[:-1])} or {options[-1]}, got {raw!r}")
+        return raw
 
-    ``overrides`` maps section -> key -> value and is merged over the file
-    before parsing, so an override goes through the same parsing and range
-    checks as the file's key (errors name ``section.key``). A value of None
-    keeps the file's value.
-    """
-    parser = configparser.ConfigParser(interpolation=None)
+    return parse
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected true/false, got {raw!r}")
+    return _BOOL_WORDS[raw.lower()]
+
+
+def _column(raw: str) -> int | str:
+    """A label column: an integer index, or a header name."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            parser.read_file(f, source=path)
-        for section, keys in (overrides or {}).items():
-            given = {key: value for key, value in keys.items() if value is not None}
-            if given:
-                parser.read_dict({section: given})
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    values: dict[str, dict[str, object]] = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        known = _SCHEMA[section]
-        got: dict[str, object] = {}
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ConfigError(f"{path}: unknown key {section}.{key}")
-            got[key] = _parse_value(section, key, known[key][0], raw)
-        values[section] = got
-
-    for section in _REQUIRED_SECTIONS:
-        if section not in values:
-            raise ConfigError(f"{path}: missing required section [{section}]")
-    for section, keys in _SCHEMA.items():
-        got = values.setdefault(section, {})
-        for key, (kind, required, default) in keys.items():
-            if key not in got:
-                if required:
-                    raise ConfigError(f"{path}: missing required key {section}.{key}")
-                got[key] = default
-
-    rc = RunConfig(
-        path=path,
-        seed=int(values["run"]["seed"]),
-        out=values["run"]["out"],
-        values=values,
-    )
-    _validate(rc)
-    return rc
+        return int(raw)
+    except ValueError:
+        return raw
 
 
-def _positive(rc: RunConfig, section: str, key: str, strict: bool = True) -> None:
-    v = rc.section(section)[key]
-    if v is None:
-        return
-    if strict and v <= 0:
-        raise ConfigError(f"{section}.{key}: must be > 0, got {v}")
-    if not strict and v < 0:
-        raise ConfigError(f"{section}.{key}: must be >= 0, got {v}")
-
-
-def _validate(rc: RunConfig) -> None:
-    _positive(rc, "run", "seed", strict=False)
-
-    data = rc.section("data")
-    kind = data["kind"]
-    if kind not in ("blobs", "moons", "csv"):
-        raise ConfigError(f"data.kind: expected blobs, moons or csv, got {kind!r}")
-    if kind in ("blobs", "moons"):
-        if data["n_per_class"] is None:
-            raise ConfigError("data.n_per_class: required for synthetic datasets")
-        _positive(rc, "data", "n_per_class")
-        if data["test_n_per_class"] is not None:
-            _positive(rc, "data", "test_n_per_class")
-    if kind == "blobs":
-        if data["centers"] is None or data["sigma"] is None:
-            raise ConfigError("data.centers and data.sigma: required for blobs")
-        _positive(rc, "data", "sigma")
-        parse_centers(data["centers"])
-    if kind == "moons":
-        if data["noise"] is None:
-            raise ConfigError("data.noise: required for moons")
-        _positive(rc, "data", "noise", strict=False)
-    if kind == "csv":
-        if data["path"] is None:
-            raise ConfigError("data.path: required for csv datasets")
-        if data["feature_scaling"] not in ("none", "minmax_to_unit"):
-            raise ConfigError(f"data.feature_scaling: unknown value {data['feature_scaling']!r}")
-        frac = data["test_fraction"]
-        if frac is None or not 0.0 < frac < 1.0:
-            raise ConfigError("data.test_fraction: required for csv, strictly between 0 and 1")
-
-    model = rc.section("model")
-    parse_widths(model["hidden"])
-    if model["activation"] not in ("relu", "identity"):
-        raise ConfigError(f"model.activation: unknown value {model['activation']!r}")
-
-    tr = rc.section("train")
-    if tr["kind"] not in ("cap", "clean", "vanilla_at"):
-        raise ConfigError(f"train.kind: expected cap, clean or vanilla_at, got {tr['kind']!r}")
-    if tr["epochs"] < 0:
-        raise ConfigError("train.epochs: must be >= 0")
-    _positive(rc, "train", "lr")
-    if tr["lambda"] < 0:
-        raise ConfigError(f"train.lambda: must be >= 0, got {tr['lambda']}")
-    _positive(rc, "train", "batch_size")
-    _positive(rc, "train", "momentum", strict=False)
-    _positive(rc, "train", "weight_decay", strict=False)
-    _positive(rc, "train", "probe_size", strict=False)
-    parse_lr_drops(tr["lr_drops"])
-
-    poly = rc.section("polytope")
-    _positive(rc, "polytope", "particles")
-    _positive(rc, "polytope", "steps")
-    _positive(rc, "polytope", "eta", strict=False)
-    _positive(rc, "polytope", "epsilon", strict=False)
-    if poly["input_clip"] is not None:
-        parse_clip(poly["input_clip"])
-
-    atk = rc.section("attack")
-    if atk["kind"] not in ("fgsm", "pgd"):
-        raise ConfigError(f"attack.kind: expected fgsm or pgd, got {atk['kind']!r}")
-    _positive(rc, "attack", "alpha")
-    _positive(rc, "attack", "steps")
-    if atk["epsilon"] is not None and atk["epsilon"] < 0:
-        raise ConfigError("attack.epsilon: must be >= 0")
-
-    ev = rc.section("eval")
-    parse_eval_tokens(ev["attacks"])
-    _positive(rc, "eval", "alpha")
-    if ev["epsilon"] is not None and ev["epsilon"] < 0:
-        raise ConfigError("eval.epsilon: must be >= 0")
+def _finite(tok: str) -> float:
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ValueError(tok)
+    return value
 
 
 def parse_widths(raw: str) -> list[int]:
@@ -294,7 +129,7 @@ def parse_centers(raw: str) -> list[list[float]]:
     for i, part in enumerate(str(raw).split(";")):
         part = part.strip().strip("()")
         try:
-            vec = [float(tok) for tok in part.split(",") if tok.strip()]
+            vec = [_finite(tok) for tok in part.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"data.centers: bad vector {part!r}") from None
         if not vec:
@@ -316,7 +151,7 @@ def parse_lr_drops(raw: str) -> tuple[tuple[int, float], ...]:
             raise ConfigError(f"train.lr_drops: expected epoch:divisor, got {part!r}")
         e, d = part.split(":", 1)
         try:
-            drops.append((int(e), float(d)))
+            drops.append((int(e), _finite(d)))
         except ValueError:
             raise ConfigError(f"train.lr_drops: bad entry {part!r}") from None
     epochs = [e for e, _ in drops]
@@ -332,7 +167,7 @@ def parse_clip(raw: str) -> Optional[tuple[float, float]]:
     if raw.lower() in ("", "none", "off"):
         return None
     try:
-        lo, hi = (float(tok) for tok in raw.split(","))
+        lo, hi = (_finite(tok) for tok in raw.split(","))
     except ValueError:
         raise ConfigError(f"polytope.input_clip: expected 'lo,hi' or none, got {raw!r}") from None
     if not lo < hi:
@@ -362,23 +197,153 @@ def parse_eval_tokens(raw: str) -> list[tuple[str, int]]:
     return out
 
 
-def resolve_input_clip(rc: RunConfig) -> Optional[tuple[float, float]]:
-    """Explicit clip wins; otherwise clip to [0, 1] exactly when the data is
-    min-max scaled to the unit box (image-like data), else no clip."""
-    raw = rc.section("polytope")["input_clip"]
-    if raw is not None:
-        return parse_clip(raw)
-    data = rc.section("data")
-    if data["kind"] == "csv" and data["feature_scaling"] == "minmax_to_unit":
-        return (0.0, 1.0)
-    return None
+REQUIRED = object()  # schema default of a key that must be set
+
+# section -> {key: (parser, default)}; a parser takes the stripped text and
+# returns the typed value or raises ValueError
+_SCHEMA: dict[str, dict[str, tuple[Callable, object]]] = {
+    "run": {
+        "seed": (_Number(int, strict=False), 0),
+        "out": (str, None),
+    },
+    "data": {
+        "kind": (_choice("blobs", "moons", "csv"), REQUIRED),
+        "n_per_class": (_Number(int), None),
+        "test_n_per_class": (_Number(int), None),
+        "centers": (parse_centers, None),
+        "sigma": (_Number(float), None),
+        "noise": (_Number(float, strict=False), None),
+        "path": (str, None),
+        "label_column": (_column, -1),
+        "has_header": (_bool, False),
+        "feature_scaling": (_choice("none", "minmax_to_unit"), "none"),
+        "test_fraction": (_Number(float, high=1), None),
+    },
+    "model": {
+        "hidden": (parse_widths, REQUIRED),
+        "activation": (_choice("relu", "identity"), "relu"),
+    },
+    "train": {
+        "kind": (_choice("cap", "clean", "vanilla_at"), REQUIRED),
+        "epochs": (_Number(int, strict=False), REQUIRED),
+        "lr": (_Number(float), REQUIRED),
+        "lr_drops": (parse_lr_drops, ()),
+        "lambda": (_Number(float, strict=False), 0.6),
+        "batch_size": (_Number(int), 128),
+        "momentum": (_Number(float, strict=False), 0.9),
+        "weight_decay": (_Number(float, strict=False), 0.0005),
+        "probe_size": (_Number(int, strict=False), 0),
+    },
+    "polytope": {
+        "particles": (_Number(int), 10),
+        "steps": (_Number(int), 40),
+        "eta": (_Number(float, strict=False), 2 / 255),
+        "epsilon": (_Number(float, strict=False), 8 / 255),
+        "input_clip": (parse_clip, None),  # derived for scaled csv data
+    },
+    "attack": {
+        "kind": (_choice("fgsm", "pgd"), "pgd"),
+        "epsilon": (_Number(float, strict=False), None),  # derived: polytope epsilon
+        "alpha": (_Number(float), 2 / 255),
+        "steps": (_Number(int), 10),
+        "random_start": (_bool, True),
+    },
+    "eval": {
+        "attacks": (parse_eval_tokens, [("fgsm", 1), ("pgd", 20)]),
+        "epsilon": (_Number(float, strict=False), None),  # derived: polytope epsilon
+        "alpha": (_Number(float), 2 / 255),
+        "random_start": (_bool, True),
+    },
+}
+
+# the [data] keys each data kind needs set
+_DATA_NEEDS = {
+    "blobs": ("n_per_class", "centers", "sigma"),
+    "moons": ("n_per_class", "noise"),
+    "csv": ("path", "test_fraction"),
+}
+
+
+@dataclass
+class RunConfig:
+    """Parsed and validated run description."""
+
+    path: str
+    seed: int
+    out: Optional[str]
+    values: dict[str, dict[str, object]] = field(default_factory=dict)
+
+    def section(self, name: str) -> dict[str, object]:
+        return self.values[name]
+
+
+def load_run_config(
+    path: str, overrides: Optional[dict[str, dict[str, object]]] = None
+) -> RunConfig:
+    """Parse and validate the config file at ``path``.
+
+    ``overrides`` maps section -> key -> value and is merged over the file
+    before parsing, so an override goes through the same parsing and range
+    checks as the file's key (errors name ``section.key``). A value of None
+    keeps the file's value.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            parser.read_file(f, source=path)
+        for section, keys in (overrides or {}).items():
+            given = {key: value for key, value in keys.items() if value is not None}
+            if given:
+                parser.read_dict({section: given})
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"{path}: unknown key {section}.{key}")
+
+    values: dict[str, dict[str, object]] = {}
+    for section, rows in _SCHEMA.items():
+        if not parser.has_section(section) and any(d is REQUIRED for _, d in rows.values()):
+            raise ConfigError(f"{path}: missing required section [{section}]")
+        got = values[section] = {}
+        for key, (parse, default) in rows.items():
+            if parser.has_option(section, key):
+                try:
+                    got[key] = parse(parser.get(section, key).strip())
+                except ConfigError:
+                    raise
+                except ValueError as exc:
+                    raise ConfigError(f"{section}.{key}: {exc}") from None
+            elif default is REQUIRED:
+                raise ConfigError(f"{path}: missing required key {section}.{key}")
+            else:  # a copy, so no load shares a mutable default (eval.attacks)
+                got[key] = copy.deepcopy(default)
+
+    data, poly = values["data"], values["polytope"]
+    for key in _DATA_NEEDS[data["kind"]]:
+        if data[key] is None:
+            raise ConfigError(f"data.{key}: required for {data['kind']} data")
+
+    for section in ("attack", "eval"):
+        if values[section]["epsilon"] is None:
+            values[section]["epsilon"] = poly["epsilon"]
+    # unit-box data (min-max scaled csv) is clipped to [0, 1] unless the file says otherwise
+    scaled = data["kind"] == "csv" and data["feature_scaling"] == "minmax_to_unit"
+    if scaled and not parser.has_option("polytope", "input_clip"):
+        poly["input_clip"] = (0.0, 1.0)
+
+    return RunConfig(path=path, seed=values["run"]["seed"], out=values["run"]["out"], values=values)
 
 
 def build_datasets(rc: RunConfig) -> tuple[Dataset, Dataset]:
     data = rc.section("data")
     kind = data["kind"]
     if kind == "blobs":
-        centers = parse_centers(data["centers"])
+        centers = data["centers"]
         n_test = data["test_n_per_class"] or data["n_per_class"]
         train_ds = gen_blobs(
             derive_seed(rc.seed, STREAM_DATA_TRAIN), data["n_per_class"], centers, data["sigma"]
@@ -390,16 +355,11 @@ def build_datasets(rc: RunConfig) -> tuple[Dataset, Dataset]:
         train_ds = gen_moons(derive_seed(rc.seed, STREAM_DATA_TRAIN), data["n_per_class"], data["noise"])
         test_ds = gen_moons(derive_seed(rc.seed, STREAM_DATA_TEST), n_test, data["noise"])
         return train_ds, test_ds
-    label_col: int | str = data["label_column"]
-    try:
-        label_col = int(label_col)
-    except (TypeError, ValueError):
-        pass
     full = load_csv(
         data["path"],
-        label_column=label_col,
+        label_column=data["label_column"],
         feature_scaling=data["feature_scaling"],
-        has_header=bool(data["has_header"]),
+        has_header=data["has_header"],
     )
     train_ds, test_ds = split(
         full, 1.0 - data["test_fraction"], derive_seed(rc.seed, STREAM_DATA_TEST)
@@ -408,16 +368,14 @@ def build_datasets(rc: RunConfig) -> tuple[Dataset, Dataset]:
 
 
 def build_model(rc: RunConfig, dataset: Dataset) -> MlpModel:
-    widths = parse_widths(rc.section("model")["hidden"])
-    dims = [dataset.dim, *widths, dataset.class_count]
-    return init_mlp(
-        derive_seed(rc.seed, STREAM_MODEL_INIT), dims, rc.section("model")["activation"]
-    )
+    model = rc.section("model")
+    dims = [dataset.dim, *model["hidden"], dataset.class_count]
+    return init_mlp(derive_seed(rc.seed, STREAM_MODEL_INIT), dims, model["activation"])
 
 
 def build_corner_config(rc: RunConfig) -> CornerConfig:
     poly = rc.section("polytope")
-    budget = PerturbationBudget(epsilon=poly["epsilon"], input_clip=resolve_input_clip(rc))
+    budget = PerturbationBudget(epsilon=poly["epsilon"], input_clip=poly["input_clip"])
     return CornerConfig(
         n_particles=poly["particles"],
         steps=poly["steps"],
@@ -432,22 +390,19 @@ def build_train_config(rc: RunConfig) -> TrainConfig:
     attack_cfg = None
     if tr["kind"] == "vanilla_at":
         atk = rc.section("attack")
-        eps = atk["epsilon"]
-        if eps is None:
-            eps = rc.section("polytope")["epsilon"]
         attack_cfg = AttackConfig(
             kind=atk["kind"],
-            epsilon=eps,
+            epsilon=atk["epsilon"],
             step_size=atk["alpha"],
             steps=atk["steps"],
-            random_start=bool(atk["random_start"]),
-            input_clip=resolve_input_clip(rc),
+            random_start=atk["random_start"],
+            input_clip=rc.section("polytope")["input_clip"],
         )
     return TrainConfig(
         baseline_kind=tr["kind"],
         epochs=tr["epochs"],
         lr=tr["lr"],
-        lr_drops=parse_lr_drops(tr["lr_drops"]),
+        lr_drops=tr["lr_drops"],
         polytope=build_corner_config(rc),
         seed=rc.seed,
         lam=tr["lambda"],
@@ -463,12 +418,9 @@ def build_eval_suite(rc: RunConfig) -> list[tuple[str, AttackConfig]]:
     """Named attack configs from [eval]; random-start seeds derive from the
     global seed and the suite position."""
     ev = rc.section("eval")
-    eps = ev["epsilon"]
-    if eps is None:
-        eps = rc.section("polytope")["epsilon"]
-    clip = resolve_input_clip(rc)
+    eps, clip = ev["epsilon"], rc.section("polytope")["input_clip"]
     suite = []
-    for i, (kind, steps) in enumerate(parse_eval_tokens(ev["attacks"])):
+    for i, (kind, steps) in enumerate(ev["attacks"]):
         if kind == "fgsm":
             name = "fgsm"
             cfg = AttackConfig(kind="fgsm", epsilon=eps, input_clip=clip)
@@ -479,7 +431,7 @@ def build_eval_suite(rc: RunConfig) -> list[tuple[str, AttackConfig]]:
                 epsilon=eps,
                 step_size=ev["alpha"],
                 steps=steps,
-                random_start=bool(ev["random_start"]),
+                random_start=ev["random_start"],
                 input_clip=clip,
                 seed=derive_seed(rc.seed, STREAM_EVAL, i),
             )

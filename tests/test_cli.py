@@ -413,6 +413,23 @@ class TestCompareCommand:
         rows = {r["trainer"]: r for r in doc["rows"]}
         assert rows["cap"]["mean_diameter"] < rows["clean"]["mean_diameter"]
 
+    def test_configs_equal_after_parsing_are_comparable(self, tmp_path):
+        # same centers in another spelling; [eval] epsilon spelled out where
+        # the other config lets it default to the polytope epsilon
+        cfg_a = write_mini(tmp_path, name="a.ini")
+        text = (tmp_path / "a.ini").read_text()
+        text = text.replace("centers = -0.14,0 ; 0.14,0 ; 0,0.2425", "centers = (-0.14, 0); (0.14, 0); (0, 0.2425)")
+        text = text.replace("attacks = fgsm, pgd-5\nepsilon = 0.1\n", "attacks = fgsm, pgd-5\n")
+        assert text.count("epsilon = 0.1") == 1
+        cfg_b = tmp_path / "b.ini"
+        cfg_b.write_text(text)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config-a", cfg_a, "--config-b", str(cfg_b), "--out", str(out)]) == 0
+        a, b = json.loads((out / "compare.json").read_text())["rows"]
+        assert (a["trainer"], a["accuracies"], a["mean_diameter"]) == (
+            b["trainer"], b["accuracies"], b["mean_diameter"]
+        )
+
     def test_mismatched_seed_exits_2(self, tmp_path, capsys):
         cfg_a = write_mini(tmp_path, name="a.ini", seed=1)
         cfg_b = write_mini(tmp_path, name="b.ini", seed=2)

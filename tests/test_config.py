@@ -1,10 +1,19 @@
 """Run-config parsing tests: strictness, defaults, builders."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caplab import ConfigError
+from caplab.cli import main
 from caplab.config import (
+    _DATA_NEEDS,
+    _SCHEMA,
+    _Number,
     build_corner_config,
     build_datasets,
     build_eval_suite,
@@ -14,7 +23,6 @@ from caplab.config import (
     parse_centers,
     parse_eval_tokens,
     parse_lr_drops,
-    resolve_input_clip,
 )
 
 BASE = """
@@ -180,15 +188,198 @@ epochs = 1
 lr = 0.1
 """
         rc = load_run_config(write(tmp_path, text))
-        assert resolve_input_clip(rc) == (0.0, 1.0)
+        assert rc.section("polytope")["input_clip"] == (0.0, 1.0)
         train_ds, test_ds = build_datasets(rc)
         assert train_ds.n_samples == 7 and test_ds.n_samples == 3
         assert train_ds.scaling is not None
 
     def test_clip_off_for_synthetic_data(self, tmp_path):
         rc = load_run_config(write(tmp_path, BASE))
-        assert resolve_input_clip(rc) is None
+        assert rc.section("polytope")["input_clip"] is None
 
     def test_explicit_clip_override(self, tmp_path):
         rc = load_run_config(write(tmp_path, BASE + "\n[polytope]\ninput_clip = -2,2\n"))
-        assert resolve_input_clip(rc) == (-2.0, 2.0)
+        assert rc.section("polytope")["input_clip"] == (-2.0, 2.0)
+
+
+def render(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+
+
+BASE_SECTIONS = {
+    "data": {"kind": "blobs", "n_per_class": "10", "centers": "-1,0 ; 1,0", "sigma": "0.5"},
+    "model": {"hidden": "8"},
+    "train": {"kind": "clean", "epochs": "2", "lr": "0.1"},
+}
+
+
+def _just_past_bounds():
+    """(section, key, value) for every bounded number in the schema: the
+    value just below its lower bound, and its upper bound if it has one."""
+    for section, rows in _SCHEMA.items():
+        for key, (parse, _) in rows.items():
+            if isinstance(parse, _Number):
+                if parse.strict:
+                    yield section, key, str(parse.low)
+                else:
+                    yield section, key, str(parse.low - 1 if parse.cast is int else -math.ulp(parse.low))
+                if parse.high is not None:
+                    yield section, key, str(parse.high)
+
+
+class TestSchema:
+    @pytest.mark.parametrize(
+        "section, key, value", list(_just_past_bounds()), ids=lambda v: str(v)
+    )
+    def test_first_illegal_value_exits_2_naming_key(self, tmp_path, capsys, section, key, value):
+        sections = {name: dict(keys) for name, keys in BASE_SECTIONS.items()}
+        sections.setdefault(section, {})[key] = value
+        out = tmp_path / "out"
+        argv = ["train", "--config", write(tmp_path, render(sections)), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key}:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, key", [(kind, key) for kind, keys in _DATA_NEEDS.items() for key in keys]
+    )
+    def test_key_the_data_kind_needs_is_required(self, tmp_path, kind, key):
+        data = {k: SMALL["data"][k] for k in _DATA_NEEDS[kind] if k != key}
+        sections = {**BASE_SECTIONS, "data": {"kind": kind, **data}}
+        with pytest.raises(ConfigError, match=f"data.{key}: required for {kind} data"):
+            load_run_config(write(tmp_path, render(sections)))
+
+    def test_key_unused_by_data_kind_is_still_checked(self, tmp_path, capsys):
+        sections = {name: dict(keys) for name, keys in BASE_SECTIONS.items()}
+        sections["data"] = {"kind": "moons", "n_per_class": "10", "noise": "0.1", "sigma": "0"}
+        argv = ["train", "--config", write(tmp_path, render(sections)), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "data.sigma: must be > 0" in capsys.readouterr().err
+
+    def test_values_are_typed_and_derived_once(self, tmp_path):
+        rc = load_run_config(write(tmp_path, BASE + "\n[polytope]\nepsilon = 0.2\n"))
+        assert rc.section("data")["centers"] == [[-1.0, 0.0], [1.0, 0.0]]
+        assert rc.section("model")["hidden"] == [8]
+        assert rc.section("train")["lr_drops"] == ()
+        assert rc.section("eval")["attacks"] == [("fgsm", 1), ("pgd", 20)]
+        assert rc.section("attack")["epsilon"] == rc.section("eval")["epsilon"] == 0.2
+        # a mutable default is not shared between loads
+        rc.section("eval")["attacks"].append(("pgd", 5))
+        assert load_run_config(rc.path).section("eval")["attacks"] == [("fgsm", 1), ("pgd", 20)]
+
+    def test_non_finite_entries_of_structured_keys_rejected(self, tmp_path):
+        for section, key, value in [
+            ("data", "centers", "nan,0 ; 1,0"),
+            ("train", "lr_drops", "1:inf"),
+            ("polytope", "input_clip", "-inf,1"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}:")):
+                load_run_config(write(tmp_path, BASE), {section: {key: value}})
+
+
+# A small config with every section; the property below mutates its values.
+SMALL = {
+    "run": {"seed": "1", "out": "unused"},
+    "data": {
+        "kind": "blobs",
+        "n_per_class": "4",
+        "test_n_per_class": "3",
+        "centers": "-1,0 ; 1,0 ; 0,1",
+        "sigma": "0.5",
+        "noise": "0.1",
+        "path": "unused.csv",
+        "label_column": "-1",
+        "has_header": "false",
+        "feature_scaling": "none",
+        "test_fraction": "0.25",
+    },
+    "model": {"hidden": "4,3", "activation": "relu"},
+    "train": {
+        "kind": "vanilla_at",
+        "epochs": "2",
+        "lr": "0.1",
+        "lr_drops": "1:10",
+        "lambda": "0.6",
+        "batch_size": "8",
+        "momentum": "0.9",
+        "weight_decay": "0.0005",
+        "probe_size": "2",
+    },
+    "polytope": {"particles": "3", "steps": "2", "eta": "0.02", "epsilon": "0.1", "input_clip": "none"},
+    "attack": {"kind": "pgd", "epsilon": "0.1", "alpha": "0.02", "steps": "3", "random_start": "true"},
+    "eval": {"attacks": "fgsm, pgd-2", "epsilon": "0.1", "alpha": "0.02", "random_start": "false"},
+}
+KEYS = [(section, key) for section, rows in _SCHEMA.items() for key in rows]
+assert {(s, k) for s, keys in SMALL.items() for k in keys} == set(KEYS)
+
+# Integers stay small: n_per_class and the hidden widths size real arrays.
+# "csv" is not drawn: a csv config reads its data file, whose content is
+# checked by load_csv, not by the config.
+TOKENS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(
+        ["0", "0.0", "-0.0", "0.5", "-0.5", "1", "1.0", "1e-300", "1e6", "-1e6", "2.5e-2",
+         "nan", "inf", "-inf", "1e309", "", "true", "false", "no", "none", "off",
+         "fgsm", "pgd-0", "pgd-3", "pgd", "blobs", "moons", "relu", "identity", "cap",
+         "clean", "vanilla_at", "minmax_to_unit", "(1,0)"]
+    ),
+    st.text(alphabet="abe019.,;:-() ", max_size=6),
+)
+VALUES = st.one_of(
+    TOKENS,
+    st.tuples(st.lists(TOKENS, min_size=2, max_size=4), st.sampled_from([",", ";", ":", " ; "])).map(
+        lambda t: t[1].join(t[0])
+    ),
+)
+NUMBER = re.compile(r"-?\d+(\.\d+)?")
+
+
+@st.composite
+def mutations(draw):
+    """1-3 (section, key, new text): a key set to a fresh value, or one number
+    inside its current value replaced."""
+    out = {}
+    for _ in range(draw(st.integers(1, 3))):
+        section, key = draw(st.sampled_from(KEYS))
+        current = SMALL[section][key]
+        spots = list(NUMBER.finditer(current))
+        if spots and draw(st.booleans()):
+            m = spots[draw(st.integers(0, len(spots) - 1))]
+            value = current[: m.start()] + draw(TOKENS) + current[m.end() :]
+        else:
+            value = draw(VALUES)
+        out[(section, key)] = value
+    return out
+
+
+@pytest.fixture(scope="module")
+def small_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("property") / "small.ini"
+    path.write_text(render(SMALL))
+    return str(path)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(change=mutations())
+def test_mutated_config_is_rejected_naming_key_or_builds(small_config, change):
+    overrides = {}
+    for (section, key), value in change.items():
+        overrides.setdefault(section, {})[key] = value
+    try:
+        rc = load_run_config(small_config, overrides)
+    except ConfigError as exc:
+        named = str(exc).split(":")[0]
+        needed = {f"data.{key}" for keys in _DATA_NEEDS.values() for key in keys}
+        assert named in {f"{s}.{k}" for s, k in change} or (
+            named in needed and "required for" in str(exc)
+        ), str(exc)
+        return
+    train_ds, _ = build_datasets(rc)
+    build_model(rc, train_ds)
+    build_train_config(rc)
+    build_corner_config(rc)
+    build_eval_suite(rc)

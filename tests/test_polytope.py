@@ -15,7 +15,6 @@ from caplab import (
     ParticleSet,
     PerturbationBudget,
     ascend_step,
-    diameter,
     empirical_center,
     find_corners,
     find_corners_many,
@@ -386,7 +385,7 @@ class TestDiameter:
         model = init_mlp(14, [2, 4, 2])
         cfg = CornerConfig(5, 5, 0.05, PerturbationBudget(0.1), seed=4)
         _, est = find_corners(model, np.array([0.3, -0.3]), cfg)
-        assert diameter(est) == est.diameter
+        assert max_pairwise_distance(est.corners) == est.diameter
 
 
 class TestManySamples:

@@ -58,6 +58,16 @@ def test_batched_particles_equal_fresh_generators():
     assert np.array_equal(got, stacked)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 - 1, 2**128 + 5, np.uint64(2**63)])
+def test_one_seed_draw_equals_fresh_generator_and_batched_draw(seed):
+    # a batch of one builds its own Philox instead of hashing the key
+    want = np.random.Generator(np.random.Philox(int(seed))).uniform(-0.3, 0.3, (7, 3))
+    got = _uniform_particles([seed], 7, 3, 0.3)
+    assert got.shape == (1, 7, 3)
+    assert np.array_equal(got[0], np.clip(want, -0.3, 0.3))
+    assert np.array_equal(got[0], _uniform_particles([seed, seed], 7, 3, 0.3)[1])
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -68,6 +78,7 @@ def test_batched_particles_equal_fresh_generators():
         lambda: derive_seeds(0, (5,), np.array([-1], dtype=np.int64)),
         lambda: philox_keys([-3]),
         lambda: init_particles(-1, 3, 2, PerturbationBudget(0.1)),
+        lambda: _uniform_particles(np.array([-1]), 3, 2, 0.1),
     ],
 )
 def test_negative_seed_or_id_is_value_error(call):
