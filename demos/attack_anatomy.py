@@ -18,12 +18,10 @@ from caplab import (
     TrainConfig,
     CornerConfig,
     PerturbationBudget,
-    cross_entropy,
     fgsm,
     forward,
     gen_blobs,
     init_mlp,
-    one_hot,
     pgd,
     robust_accuracy,
     softmax,
@@ -40,7 +38,7 @@ x = rng.standard_normal(d) * 0.5
 
 def ce(z):
     logits, _ = forward(model, z)
-    return cross_entropy(softmax(logits), one_hot(0, 2))
+    return float(-np.log(softmax(logits)[0]))
 
 
 verts = np.array(list(itertools.product([-eps, eps], repeat=d)))

@@ -15,11 +15,9 @@ import numpy as np
 from caplab import (
     CornerConfig,
     PerturbationBudget,
-    empirical_center,
     find_corners,
     forward,
     init_mlp,
-    init_particles,
 )
 from caplab.svg import corner_scatter_svg
 
@@ -31,13 +29,10 @@ logits, _ = forward(model, x)
 print(f"clean sample x = {x},  f(x) = {np.round(logits, 4)}")
 
 # Before any optimization: particles are uniform in the budget box, and the
-# empirical center is just the mean of their outputs.
-particles = init_particles(seed=42, n_particles=10, dim=2, budget=budget)
-center0 = empirical_center(model, x, particles)
-spread0 = np.linalg.norm(
-    forward(model, x[None, :] + particles.particles)[0] - center0, axis=1
-).mean()
-print(f"initial mean distance to center: {spread0:.5f}")
+# empirical center is just the mean of their outputs. One step at eta = 0
+# leaves the particles where they were drawn.
+_, start = find_corners(model, x, CornerConfig(10, 1, 0.0, budget, seed=42))
+print(f"initial mean distance to center: {start.distances.mean():.5f}")
 
 # The search: T outer iterations, each pushing every particle up the squared
 # distance to the center frozen at the top of the iteration, then refreshing

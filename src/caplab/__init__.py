@@ -7,19 +7,17 @@ baselines, and evaluates robustness with FGSM/PGD.
 """
 
 from .attacks import AttackConfig, attack, clean_accuracy, fgsm, pgd, robust_accuracy
-from .data import Dataset, MinMaxScaling, gen_blobs, gen_moons, load_csv, save_csv, split
+from .data import Dataset, gen_blobs, gen_moons, load_csv, save_csv, split
 from .errors import CapLabError, ConfigError, CsvParseError, NumericsError, ShapeError
 from .nn import (
     ForwardTrace,
     Layer,
     MlpModel,
-    cross_entropy,
     forward,
     grad_input,
     grad_params,
     init_mlp,
     load_model,
-    one_hot,
     save_model,
     softmax,
 )
@@ -29,9 +27,7 @@ from .polytope import (
     PerturbationBudget,
     PolytopeEstimate,
     ascend_step,
-    empirical_center,
     find_corners,
-    find_corners_many,
     init_particles,
     mean_diameter,
     project,
@@ -58,7 +54,6 @@ __all__ = [
     "EpochRecord",
     "ForwardTrace",
     "Layer",
-    "MinMaxScaling",
     "MlpModel",
     "NumericsError",
     "OptimizerState",
@@ -71,11 +66,8 @@ __all__ = [
     "ascend_step",
     "attack",
     "clean_accuracy",
-    "cross_entropy",
-    "empirical_center",
     "fgsm",
     "find_corners",
-    "find_corners_many",
     "forward",
     "gen_blobs",
     "gen_moons",
@@ -87,7 +79,6 @@ __all__ = [
     "load_csv",
     "load_model",
     "mean_diameter",
-    "one_hot",
     "pgd",
     "project",
     "robust_accuracy",

@@ -46,7 +46,7 @@ class AttackConfig:
         return PerturbationBudget(epsilon=self.epsilon, input_clip=self.input_clip)
 
 
-def _as_batch(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
+def _as_batch(model: MlpModel, x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -54,6 +54,9 @@ def _as_batch(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
     labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if labels.shape != (x.shape[0],):
         raise ShapeError(f"labels shape {labels.shape} does not match batch of {x.shape[0]}")
+    c = model.output_dim
+    if labels.size and not 0 <= labels.min() <= labels.max() < c:
+        raise ShapeError(f"labels must lie in [0, {c}) for a model with {c} outputs")
     return x, labels, squeeze
 
 
@@ -77,7 +80,7 @@ def fgsm(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
     """
     if cfg.kind != "fgsm":
         raise ValueError(f"fgsm called with kind {cfg.kind!r}")
-    xb, labels, squeeze = _as_batch(x, y)
+    xb, labels, squeeze = _as_batch(model, x, y)
     budget = cfg.budget()
     g = _ce_input_grad(model, xb, labels)
     delta = project(cfg.epsilon * np.sign(g), budget, xb)
@@ -94,7 +97,7 @@ def pgd(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
     """
     if cfg.kind != "pgd":
         raise ValueError(f"pgd called with kind {cfg.kind!r}")
-    xb, labels, squeeze = _as_batch(x, y)
+    xb, labels, squeeze = _as_batch(model, x, y)
     budget = cfg.budget()
     if cfg.random_start:
         rng = np.random.Generator(np.random.Philox(int(cfg.seed)))

@@ -118,9 +118,9 @@ def parse_widths(raw: str) -> list[int]:
     try:
         widths = [int(tok) for tok in str(raw).split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"model.hidden: expected comma-separated widths, got {raw!r}") from None
+        raise ValueError(f"expected comma-separated widths, got {raw!r}") from None
     if not widths or any(w < 1 for w in widths):
-        raise ConfigError(f"model.hidden: widths must be positive, got {raw!r}")
+        raise ValueError(f"widths must be positive, got {raw!r}")
     return widths
 
 
@@ -131,12 +131,12 @@ def parse_centers(raw: str) -> list[list[float]]:
         try:
             vec = [_finite(tok) for tok in part.split(",") if tok.strip()]
         except ValueError:
-            raise ConfigError(f"data.centers: bad vector {part!r}") from None
+            raise ValueError(f"bad vector {part!r}") from None
         if not vec:
-            raise ConfigError(f"data.centers: empty vector at position {i}")
+            raise ValueError(f"empty vector at position {i}")
         centers.append(vec)
     if len(centers) < 2 or len({len(c) for c in centers}) != 1:
-        raise ConfigError("data.centers: need >= 2 centers of equal dimension")
+        raise ValueError("need >= 2 centers of equal dimension")
     return centers
 
 
@@ -148,17 +148,17 @@ def parse_lr_drops(raw: str) -> tuple[tuple[int, float], ...]:
     for part in raw.split(","):
         part = part.strip()
         if ":" not in part:
-            raise ConfigError(f"train.lr_drops: expected epoch:divisor, got {part!r}")
+            raise ValueError(f"expected epoch:divisor, got {part!r}")
         e, d = part.split(":", 1)
         try:
             drops.append((int(e), _finite(d)))
         except ValueError:
-            raise ConfigError(f"train.lr_drops: bad entry {part!r}") from None
+            raise ValueError(f"bad entry {part!r}") from None
     epochs = [e for e, _ in drops]
     if epochs != sorted(set(epochs)) or any(e < 1 for e in epochs):
-        raise ConfigError("train.lr_drops: epochs must be positive and strictly increasing")
+        raise ValueError("epochs must be positive and strictly increasing")
     if any(d <= 0 for _, d in drops):
-        raise ConfigError("train.lr_drops: divisors must be > 0")
+        raise ValueError("divisors must be > 0")
     return tuple(drops)
 
 
@@ -169,9 +169,9 @@ def parse_clip(raw: str) -> Optional[tuple[float, float]]:
     try:
         lo, hi = (_finite(tok) for tok in raw.split(","))
     except ValueError:
-        raise ConfigError(f"polytope.input_clip: expected 'lo,hi' or none, got {raw!r}") from None
+        raise ValueError(f"expected 'lo,hi' or none, got {raw!r}") from None
     if not lo < hi:
-        raise ConfigError("polytope.input_clip: lo must be < hi")
+        raise ValueError("lo must be < hi")
     return (lo, hi)
 
 
@@ -184,16 +184,16 @@ def parse_eval_tokens(raw: str) -> list[tuple[str, int]]:
             continue
         m = _EVAL_TOKEN.match(tok)
         if not m:
-            raise ConfigError(f"eval.attacks: unknown attack token {tok!r}")
+            raise ValueError(f"unknown attack token {tok!r}")
         if tok == "fgsm":
             out.append(("fgsm", 1))
         else:
             steps = int(m.group(2))
             if steps < 1:
-                raise ConfigError(f"eval.attacks: pgd steps must be >= 1 in {tok!r}")
+                raise ValueError(f"pgd steps must be >= 1 in {tok!r}")
             out.append(("pgd", steps))
     if not out:
-        raise ConfigError("eval.attacks: suite is empty")
+        raise ValueError("suite is empty")
     return out
 
 
@@ -314,8 +314,6 @@ def load_run_config(
             if parser.has_option(section, key):
                 try:
                     got[key] = parse(parser.get(section, key).strip())
-                except ConfigError:
-                    raise
                 except ValueError as exc:
                     raise ConfigError(f"{section}.{key}: {exc}") from None
             elif default is REQUIRED:
@@ -342,29 +340,26 @@ def load_run_config(
 def build_datasets(rc: RunConfig) -> tuple[Dataset, Dataset]:
     data = rc.section("data")
     kind = data["kind"]
-    if kind == "blobs":
-        centers = data["centers"]
-        n_test = data["test_n_per_class"] or data["n_per_class"]
-        train_ds = gen_blobs(
-            derive_seed(rc.seed, STREAM_DATA_TRAIN), data["n_per_class"], centers, data["sigma"]
+    if kind == "csv":
+        full = load_csv(
+            data["path"],
+            label_column=data["label_column"],
+            feature_scaling=data["feature_scaling"],
+            has_header=data["has_header"],
         )
-        test_ds = gen_blobs(derive_seed(rc.seed, STREAM_DATA_TEST), n_test, centers, data["sigma"])
-        return train_ds, test_ds
-    if kind == "moons":
-        n_test = data["test_n_per_class"] or data["n_per_class"]
-        train_ds = gen_moons(derive_seed(rc.seed, STREAM_DATA_TRAIN), data["n_per_class"], data["noise"])
-        test_ds = gen_moons(derive_seed(rc.seed, STREAM_DATA_TEST), n_test, data["noise"])
-        return train_ds, test_ds
-    full = load_csv(
-        data["path"],
-        label_column=data["label_column"],
-        feature_scaling=data["feature_scaling"],
-        has_header=data["has_header"],
-    )
-    train_ds, test_ds = split(
-        full, 1.0 - data["test_fraction"], derive_seed(rc.seed, STREAM_DATA_TEST)
-    )
-    return train_ds, test_ds
+        return split(full, 1.0 - data["test_fraction"], derive_seed(rc.seed, STREAM_DATA_TEST))
+    n_test = data["test_n_per_class"] or data["n_per_class"]
+    if kind == "blobs":
+        scale, generate = "sigma", lambda seed, n: gen_blobs(seed, n, data["centers"], data["sigma"])
+    else:
+        scale, generate = "noise", lambda seed, n: gen_moons(seed, n, data["noise"])
+    try:
+        return (
+            generate(derive_seed(rc.seed, STREAM_DATA_TRAIN), data["n_per_class"]),
+            generate(derive_seed(rc.seed, STREAM_DATA_TEST), n_test),
+        )
+    except ValueError as exc:  # parsed values fail only the generators' overflow check
+        raise ConfigError(f"data.{scale}: {exc}") from None
 
 
 def build_model(rc: RunConfig, dataset: Dataset) -> MlpModel:

@@ -16,21 +16,10 @@ from .errors import CsvParseError
 
 
 @dataclass
-class MinMaxScaling:
-    """Per-column scaling parameters recorded when features are mapped to
-    [0, 1]: scaled = (raw - col_min) / col_span."""
-
-    col_min: np.ndarray
-    col_span: np.ndarray
-
-
-@dataclass
 class Dataset:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64 class indices in [0, class_count)
     class_count: int
-    feature_range: Optional[tuple[float, float]] = None  # known domain box, e.g. (0, 1)
-    scaling: Optional[MinMaxScaling] = None
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -53,6 +42,13 @@ class Dataset:
         return self.features.shape[1]
 
 
+def _no_overflow(feats: np.ndarray, name: str, scale: float) -> np.ndarray:
+    """``feats`` when finite; otherwise the noise scale overflowed float64."""
+    if not np.isfinite(feats).all():
+        raise ValueError(f"{name} = {scale!r} overflows the float64 features")
+    return feats
+
+
 def gen_blobs(
     seed: int, n_per_class: int, centers: Sequence[Sequence[float]], sigma: float
 ) -> Dataset:
@@ -69,11 +65,12 @@ def gen_blobs(
     rng = np.random.default_rng(int(seed))
     feats = []
     labels = []
-    for k, center in enumerate(C):
-        feats.append(center[None, :] + sigma * rng.standard_normal((n_per_class, C.shape[1])))
-        labels.append(np.full(n_per_class, k, dtype=np.int64))
+    with np.errstate(over="ignore"):  # reported by _no_overflow, naming sigma
+        for k, center in enumerate(C):
+            feats.append(center[None, :] + sigma * rng.standard_normal((n_per_class, C.shape[1])))
+            labels.append(np.full(n_per_class, k, dtype=np.int64))
     return Dataset(
-        features=np.concatenate(feats, axis=0),
+        features=_no_overflow(np.concatenate(feats, axis=0), "sigma", sigma),
         labels=np.concatenate(labels),
         class_count=len(C),
     )
@@ -95,7 +92,8 @@ def gen_moons(seed: int, n_per_class: int, noise: float) -> Dataset:
     feats = np.concatenate([outer, inner], axis=0)
     if noise > 0:
         rng = np.random.default_rng(int(seed))
-        feats = feats + noise * rng.standard_normal(feats.shape)
+        with np.errstate(over="ignore"):
+            feats = _no_overflow(feats + noise * rng.standard_normal(feats.shape), "noise", noise)
     labels = np.concatenate(
         [np.zeros(n_per_class, dtype=np.int64), np.ones(n_per_class, dtype=np.int64)]
     )
@@ -112,9 +110,8 @@ def load_csv(
 
     Labels must be nonnegative integers. With feature_scaling =
     'minmax_to_unit' every feature column is mapped to [0, 1] by its own
-    min/max (a constant column maps to 0.0) and the dataset's feature_range
-    becomes (0, 1). Parse problems raise CsvParseError naming the 1-based
-    line number.
+    min/max (a constant column maps to 0.0). Parse problems raise
+    CsvParseError naming the 1-based line number.
     """
     if feature_scaling not in ("none", "minmax_to_unit"):
         raise ValueError(f"unknown feature_scaling {feature_scaling!r}")
@@ -168,6 +165,8 @@ def load_csv(
                     ) from None
                 if label < 0:
                     raise CsvParseError(f"{path}: line {line_no}: negative label {label}")
+                if label > np.iinfo(np.int64).max:
+                    raise CsvParseError(f"{path}: line {line_no}: label {label} exceeds int64")
                 labels[i] = label
             else:
                 try:
@@ -180,23 +179,12 @@ def load_csv(
         if not np.isfinite(feats[i]).all():
             raise CsvParseError(f"{path}: line {line_no}: non-finite feature value")
 
-    feature_range = None
-    scaling = None
     if feature_scaling == "minmax_to_unit":
         lo = feats.min(axis=0)
-        hi = feats.max(axis=0)
-        span = hi - lo
+        span = feats.max(axis=0) - lo
         span[span == 0.0] = 1.0  # constant columns map to 0.0
         feats = (feats - lo) / span
-        feature_range = (0.0, 1.0)
-        scaling = MinMaxScaling(col_min=lo, col_span=span)
-    return Dataset(
-        features=feats,
-        labels=labels,
-        class_count=int(labels.max()) + 1,
-        feature_range=feature_range,
-        scaling=scaling,
-    )
+    return Dataset(features=feats, labels=labels, class_count=int(labels.max()) + 1)
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
@@ -228,7 +216,5 @@ def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Datase
         features=dataset.features[idx].copy(),
         labels=dataset.labels[idx].copy(),
         class_count=dataset.class_count,
-        feature_range=dataset.feature_range,
-        scaling=dataset.scaling,
     )
     return make(tr), make(te)

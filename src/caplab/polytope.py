@@ -207,16 +207,6 @@ def _mean_ascending(values: np.ndarray, axis: int) -> np.ndarray:
     return acc / n
 
 
-def empirical_center(model: MlpModel, x: np.ndarray, particles: ParticleSet) -> np.ndarray:
-    """Mean logit vector (1/N) sum_n f(x + e_n), reduced in ascending particle
-    index order so the result is reproducible bit-for-bit."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (particles.dim,):
-        raise ShapeError(f"sample shape {x.shape} does not match particle dim {particles.dim}")
-    logits, _ = forward(model, x[None, :] + particles.particles)
-    return _mean_ascending(logits, axis=0)
-
-
 def ascend_step(
     model: MlpModel,
     x: np.ndarray,
@@ -333,41 +323,19 @@ def find_corners(
     return particles, est
 
 
-def find_corners_many(
-    model: MlpModel,
-    X: np.ndarray,
-    cfg: CornerConfig,
-    seeds: Optional[Sequence[int]] = None,
-    threads: int = 1,
-) -> list[tuple[ParticleSet, PolytopeEstimate]]:
-    """find_corners per row of X, in row order.
+def mean_diameter(model: MlpModel, X: np.ndarray, cfg: CornerConfig, threads: int = 1) -> float:
+    """Mean polytope diameter over the rows of X (the compactness metric).
 
-    Row i is bit-equal to find_corners(model, X[i], cfg with seeds[i]),
-    whatever the other rows are. When ``seeds`` is omitted, per-sample
-    seeds derive from cfg.seed and the row index. ``threads`` has no
-    effect: rows run one at a time so that each row's bits do not depend on
-    the others. It is still accepted so that callers which pass it keep
-    working.
+    Row i runs find_corners(model, X[i], cfg) with seed
+    ``derive_seed(cfg.seed, i)``, so its diameter does not depend on the
+    other rows. ``threads`` has no effect; perfbench/worker.py still passes it.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be (n, d), got {X.shape}")
-    if seeds is None:
-        seeds = derive_seeds(cfg.seed, (), np.arange(X.shape[0]))
-    if len(seeds) != X.shape[0]:
-        raise ValueError("one seed per sample is required")
-    return [find_corners(model, x, dataclasses.replace(cfg, seed=int(s))) for x, s in zip(X, seeds)]
-
-
-def mean_diameter(
-    model: MlpModel,
-    X: np.ndarray,
-    cfg: CornerConfig,
-    seeds: Optional[Sequence[int]] = None,
-    threads: int = 1,
-) -> float:
-    """Mean polytope diameter over the rows of X (the compactness metric).
-    ``threads`` has no effect and is accepted for the same reason as in
-    find_corners_many."""
-    results = find_corners_many(model, X, cfg, seeds=seeds)
-    return float(np.mean([est.diameter for _, est in results]))
+    seeds = derive_seeds(cfg.seed, (), np.arange(X.shape[0]))
+    diameters = [
+        find_corners(model, x, dataclasses.replace(cfg, seed=int(s)))[1].diameter
+        for x, s in zip(X, seeds)
+    ]
+    return float(np.mean(diameters))

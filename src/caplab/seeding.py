@@ -15,6 +15,7 @@ as ``derive_seed`` and as ``np.random.Philox(seed)``; tests check both.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -79,7 +80,8 @@ def _words(n: int) -> list[int]:
 
 def _value_words(values) -> tuple[np.ndarray, np.ndarray]:
     """(B, k) uint32 words of each value, and how many of them each one uses."""
-    v = np.asarray(values)
+    # a list may mix small and 64-bit integers, for which numpy would infer float64
+    v = np.asarray(values, dtype=object if isinstance(values, (list, tuple)) else None)
     if v.ndim != 1:
         raise ValueError(f"seed values must be a 1-D sequence, got shape {v.shape}")
     if v.dtype.kind in "iu" or v.size == 0:
@@ -89,7 +91,10 @@ def _value_words(values) -> tuple[np.ndarray, np.ndarray]:
         return words, 1 + (words[:, 1] > 0)
     if v.dtype.kind != "O":
         raise ValueError(f"seed values must be integers, got dtype {v.dtype}")
-    rows = [_words(x) for x in v.tolist()]
+    try:
+        rows = [_words(operator.index(x)) for x in v.tolist()]
+    except TypeError:
+        raise ValueError("seed values must be integers") from None
     width = max(len(r) for r in rows)
     words = np.array([r + [0] * (width - len(r)) for r in rows], dtype=np.uint32)
     return words, np.array([len(r) for r in rows])

@@ -1,0 +1,54 @@
+"""Single-sample reference implementations that the tests compare the
+library's batched paths against. The library itself does not use them."""
+
+import numpy as np
+
+from caplab import MlpModel, ParticleSet, ShapeError, forward
+from caplab.nn import PROB_FLOOR
+from caplab.polytope import _mean_ascending
+
+
+def one_hot(index: int, n_classes: int) -> np.ndarray:
+    if not 0 <= index < n_classes:
+        raise ValueError(f"class index {index} outside [0, {n_classes})")
+    y = np.zeros(n_classes, dtype=np.float64)
+    y[index] = 1.0
+    return y
+
+
+def label_index(y: np.ndarray) -> int:
+    """Validate a one-hot label vector and return its class index."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1:
+        raise ValueError("label vector must be 1-D")
+    ones = np.flatnonzero(y == 1.0)
+    if len(ones) != 1 or not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("label vector must have exactly one entry 1 and the rest 0")
+    return int(ones[0])
+
+
+def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
+    """-log p[true class] for a single probability vector and one-hot label.
+
+    The probability is floored at 1e-300 so the loss is finite even when the
+    softmax has fully collapsed.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("probs must be a 1-D distribution")
+    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError("probs is not a probability distribution")
+    k = label_index(y)
+    if k >= len(p):
+        raise ValueError(f"label index {k} outside distribution of length {len(p)}")
+    return float(-np.log(max(p[k], PROB_FLOOR)))
+
+
+def empirical_center(model: MlpModel, x: np.ndarray, particles: ParticleSet) -> np.ndarray:
+    """Mean logit vector (1/N) sum_n f(x + e_n), reduced in ascending particle
+    index order so the result is reproducible bit-for-bit."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (particles.dim,):
+        raise ShapeError(f"sample shape {x.shape} does not match particle dim {particles.dim}")
+    logits, _ = forward(model, x[None, :] + particles.particles)
+    return _mean_ascending(logits, axis=0)

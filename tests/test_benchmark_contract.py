@@ -1,0 +1,48 @@
+"""What the benchmark harness in perfbench/ uses of the library.
+
+perfbench/ changes only together with the benchmark, so a library change
+that drops one of these names must fail here, not in the next
+``perfbench/run.py --trace 1``. The check runs the way the harness does: in
+a fresh interpreter at the repository root, with perfbench/ and src/ on
+sys.path. It reads perfbench/ and writes nothing there.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CHECK = """
+import sys
+
+import worker
+from common import import_caplab
+
+caplab = import_caplab()
+import caplab.cli  # as worker.setup does; loads every caplab module
+
+for target in worker.trace_targets():
+    getattr(sys.modules[target.module], target.attr)  # as spans.Tracer.install does
+
+rc = worker.load_config(caplab, "presets/blobs_cap.ini", 3)  # assigns rc.seed
+assert rc.seed == 3
+train_ds, test_ds = caplab.config.build_datasets(rc)
+model = caplab.config.build_model(rc, train_ds)
+cfg = caplab.config.build_corner_config(rc)
+X = test_ds.features[:4]
+with_threads = caplab.polytope.mean_diameter(model, X, cfg, threads=1)
+assert with_threads == caplab.polytope.mean_diameter(model, X, cfg)
+print("ok")
+"""
+
+
+def test_harness_finds_what_it_uses():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    done = subprocess.run(
+        [sys.executable, "-c", CHECK], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"

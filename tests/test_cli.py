@@ -1,10 +1,14 @@
 """End-to-end CLI tests: exit codes, file outputs, determinism contracts."""
 
+import contextlib
+import io
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caplab import (
     AttackConfig,
@@ -17,6 +21,7 @@ from caplab import (
 from caplab.cli import main
 from caplab.config import build_datasets, load_run_config
 from caplab.nn import init_mlp, model_to_dict
+from mutations import checkpoint_docs, csv_files
 
 MINI = """
 [run]
@@ -221,8 +226,10 @@ class TestEvalCommand:
             (_drop_second_bias, "layers[1].bias"),
             (lambda doc: [doc], "JSON object"),
             (_nan_second_weight, "layers[1].weights"),
+            (lambda doc: model_to_dict(init_mlp(0, [2, 16, 2])), "model with 2 outputs"),
         ],
-        ids=["no-layers", "layers-not-a-list", "no-bias", "top-level-list", "nan-weight"],
+        ids=["no-layers", "layers-not-a-list", "no-bias", "top-level-list", "nan-weight",
+             "fewer-outputs-than-classes"],
     )
     def test_malformed_checkpoint_exits_2_naming_field(self, tmp_path, capsys, mangle, field):
         cfg = write_mini(tmp_path)
@@ -491,3 +498,65 @@ def test_threads_flag_is_rejected(tmp_path, capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning would fail the test
+@pytest.mark.parametrize(
+    "key, data",
+    [
+        ("sigma", "kind = blobs\nn_per_class = 10\ncenters = -1,0 ; 1,0\nsigma = 1e308\n"),
+        ("noise", "kind = moons\nn_per_class = 10\nnoise = 1e308\n"),
+    ],
+    ids=["sigma", "noise"],
+)
+def test_overflowing_noise_scale_exits_2_naming_key(tmp_path, capsys, key, data):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[data]\n{data}\n[model]\nhidden = 4\n\n[train]\nkind = clean\nepochs = 1\nlr = 0.1\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data.{key}: {key} = 1e+308 overflows") and "Traceback" not in err
+
+
+def run_quietly(argv):
+    """main(argv)'s exit code and stderr; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    """Exit 0, or exit 2 or 3 with a one-line reason; an uncaught exception
+    would have failed the test already."""
+    assert code in (0, 2, 3), (code, err)
+    if code:
+        assert err.startswith(("error: ", "numeric failure: ")) and "Traceback" not in err, err
+
+
+@pytest.fixture(scope="module")
+def mutation_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mutated")
+    cfg = root / "mini.ini"
+    cfg.write_text(MINI.format(kind="cap", lam=0.6, epochs=1, seed=0, drops=""))
+    checkpoint = root / "model.json"
+    save_model(init_mlp(0, [2, 16, 3]), str(checkpoint))
+    return root, str(cfg), str(checkpoint)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=csv_files(), index=st.sampled_from([0, 1, 3]))
+def test_corners_on_mutated_sample_file_exits_cleanly(mutation_files, data, index):
+    root, cfg, checkpoint = mutation_files
+    (root / "sample.csv").write_bytes(data)
+    argv = ["corners", "--config", cfg, "--checkpoint", checkpoint, "--out", str(root / "out"),
+            "--sample-file", str(root / "sample.csv"), "--sample-index", str(index)]
+    assert_clean_exit(*run_quietly(argv))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(doc=checkpoint_docs())
+def test_eval_of_mutated_checkpoint_exits_cleanly(mutation_files, doc):
+    root, cfg, _ = mutation_files
+    (root / "bad.json").write_text(json.dumps(doc))
+    argv = ["eval", "--config", cfg, "--checkpoint", str(root / "bad.json"), "--out", str(root / "out")]
+    assert_clean_exit(*run_quietly(argv))

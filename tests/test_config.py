@@ -108,31 +108,32 @@ class TestStrictParsing:
             load_run_config(path, {"polytope": {"particles": 0}})
 
 
+def rejected(tmp_path, section, key, value, match=""):
+    """Loading BASE with section.key = value fails, naming the key."""
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}: {match}")):
+        load_run_config(write(tmp_path, BASE), {section: {key: value}})
+
+
 class TestValueParsers:
-    def test_centers(self):
+    def test_centers(self, tmp_path):
         got = parse_centers("-1,0 ; (1,0) ; 0,1.5")
         assert got == [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.5]]
-        with pytest.raises(ConfigError):
-            parse_centers("1,0")
-        with pytest.raises(ConfigError):
-            parse_centers("1,0 ; 2")
+        rejected(tmp_path, "data", "centers", "1,0")
+        rejected(tmp_path, "data", "centers", "1,0 ; 2")
 
-    def test_lr_drops(self):
+    def test_lr_drops(self, tmp_path):
         assert parse_lr_drops("") == ()
         assert parse_lr_drops("80:10, 100:10") == ((80, 10.0), (100, 10.0))
-        with pytest.raises(ConfigError):
-            parse_lr_drops("100:10, 80:10")
-        with pytest.raises(ConfigError):
-            parse_lr_drops("80")
+        rejected(tmp_path, "train", "lr_drops", "100:10, 80:10")
+        rejected(tmp_path, "train", "lr_drops", "80")
 
-    def test_eval_tokens(self):
+    def test_eval_tokens(self, tmp_path):
         assert parse_eval_tokens("fgsm, pgd-20, pgd-100") == [
             ("fgsm", 1),
             ("pgd", 20),
             ("pgd", 100),
         ]
-        with pytest.raises(ConfigError, match="token"):
-            parse_eval_tokens("cw")
+        rejected(tmp_path, "eval", "attacks", "cw", match="unknown attack token")
 
 
 class TestBuilders:
@@ -191,7 +192,9 @@ lr = 0.1
         assert rc.section("polytope")["input_clip"] == (0.0, 1.0)
         train_ds, test_ds = build_datasets(rc)
         assert train_ds.n_samples == 7 and test_ds.n_samples == 3
-        assert train_ds.scaling is not None
+        # columns 0..9 and 0..18 scaled by their own min and span
+        both = np.concatenate([train_ds.features, test_ds.features])
+        assert sorted(both[:, 0]) == sorted(both[:, 1]) == [i / 9 for i in range(10)]
 
     def test_clip_off_for_synthetic_data(self, tmp_path):
         rc = load_run_config(write(tmp_path, BASE))
@@ -277,8 +280,7 @@ class TestSchema:
             ("train", "lr_drops", "1:inf"),
             ("polytope", "input_clip", "-inf,1"),
         ]:
-            with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}:")):
-                load_run_config(write(tmp_path, BASE), {section: {key: value}})
+            rejected(tmp_path, section, key, value)
 
 
 # A small config with every section; the property below mutates its values.

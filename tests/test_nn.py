@@ -6,22 +6,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from caplab import (
     Layer,
     MlpModel,
     ShapeError,
-    cross_entropy,
     forward,
     grad_input,
     grad_params,
     init_mlp,
     load_model,
-    one_hot,
     save_model,
     softmax,
 )
 from caplab.nn import _backward, model_from_dict, model_to_dict
+from mutations import checkpoint_docs
+from oracles import cross_entropy, one_hot
 
 
 def naive_forward(model, x):
@@ -373,3 +374,14 @@ class TestSerialization:
         doc["version"] = 99
         with pytest.raises(ValueError, match="version"):
             model_from_dict(doc)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(doc=checkpoint_docs())
+def test_mutated_checkpoint_loads_or_names_the_problem(doc):
+    try:
+        model = model_from_dict(doc)
+    except ValueError as exc:  # ShapeError included; the CLI exits 2
+        assert str(exc)
+        return
+    assert all(np.isfinite(p).all() for p in model.parameters())

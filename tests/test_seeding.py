@@ -42,6 +42,16 @@ def test_philox_keys_equal_numpy_philox():
         assert np.array_equal(philox_keys(seeds), want)
 
 
+def test_mixed_width_seed_list():
+    # numpy infers float64 for this list; the seeds are still integers
+    seeds = [2**64 - 1, 1]
+    want = np.array([np.random.SeedSequence(s).generate_state(2, np.uint64) for s in seeds])
+    assert np.array_equal(philox_keys(seeds), want)
+    assert np.array_equal(derive_seeds(3, (5,), seeds), reference_seeds(3, (5,), seeds))
+    with pytest.raises(ValueError, match="integers"):
+        philox_keys([2**64 - 1, 1.5])
+
+
 def test_batched_particles_equal_fresh_generators():
     # N * d = 21 doubles leaves the last 4-word Philox block partly used
     budget = PerturbationBudget(0.3)

@@ -15,21 +15,20 @@ from caplab import (
     PerturbationBudget,
     ShapeError,
     TrainConfig,
-    cross_entropy,
     find_corners,
     forward,
     gen_blobs,
     grad_params,
     init_mlp,
     init_optimizer,
-    one_hot,
     sgd_step,
     softmax,
     train,
 )
-from caplab.nn import cross_entropy_rows, label_index
+from caplab.nn import cross_entropy_rows
 from caplab.seeding import STREAM_PARTICLES, derive_seed
 from caplab.train import _batch_gradients
+from oracles import cross_entropy, label_index, one_hot
 
 
 def cap_loss(
