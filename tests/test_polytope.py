@@ -389,7 +389,7 @@ class TestDiameter:
 
 
 class TestManySamples:
-    def test_mean_diameter_matches_individual_runs(self):
+    def test_rows_do_not_depend_on_batch_composition(self):
         # row j of mean_diameter is find_corners on that row alone, seeded
         # derive_seed(cfg.seed, j), whichever other rows share the call
         model = init_mlp(17, [3, 8, 3])
@@ -405,3 +405,13 @@ class TestManySamples:
                 ]
             )
             assert mean_diameter(model, X[rows], cfg) == pytest.approx(want, abs=0)
+
+    def test_mean_diameter_matches_individual_runs(self):
+        model = init_mlp(16, [2, 6, 2])
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((5, 2))
+        cfg = CornerConfig(3, 4, 0.05, PerturbationBudget(0.1), seed=9)
+        want = np.mean(
+            [find_corners(model, x, replace(cfg, seed=derive_seed(cfg.seed, i)))[1].diameter for i, x in enumerate(X)]
+        )
+        assert mean_diameter(model, X, cfg) == pytest.approx(want, abs=0)
