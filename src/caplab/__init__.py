@@ -7,7 +7,7 @@ baselines, and evaluates robustness with FGSM/PGD.
 """
 
 from .attacks import AttackConfig, attack, clean_accuracy, fgsm, pgd, robust_accuracy
-from .data import Dataset, gen_blobs, gen_moons, load_csv, save_csv, split
+from .data import Dataset, gen_blobs, gen_moons, load_csv, split
 from .errors import CapLabError, ConfigError, CsvParseError, NumericsError, ShapeError
 from .nn import (
     ForwardTrace,
@@ -82,7 +82,6 @@ __all__ = [
     "pgd",
     "project",
     "robust_accuracy",
-    "save_csv",
     "save_model",
     "sgd_step",
     "softmax",

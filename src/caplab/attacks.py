@@ -72,8 +72,26 @@ def _ce_input_grad(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> np.nda
     return g
 
 
+def _signed_ascent(
+    model: MlpModel,
+    xb: np.ndarray,
+    labels: np.ndarray,
+    delta: np.ndarray | float,
+    step: float,
+    steps: int,
+    budget: PerturbationBudget,
+) -> np.ndarray:
+    """x + delta after ``steps`` signed-gradient steps of size ``step`` from
+    ``delta``, each projected back to the budget box around the clean x."""
+    for _ in range(steps):
+        g = _ce_input_grad(model, xb + delta, labels)
+        delta = project(delta + step * np.sign(g), budget, xb)
+    return xb + delta
+
+
 def fgsm(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
-    """Single signed-gradient step: x' = clamp(x + eps * sign(grad)).
+    """Single signed-gradient step: x' = clamp(x + eps * sign(grad)), which is
+    PGD's first step from delta = 0 with step size eps.
 
     sign(0) is 0, so a sample with an exactly-zero gradient is returned
     unchanged. clamp applies the input_clip domain when configured.
@@ -81,10 +99,9 @@ def fgsm(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
     if cfg.kind != "fgsm":
         raise ValueError(f"fgsm called with kind {cfg.kind!r}")
     xb, labels, squeeze = _as_batch(model, x, y)
-    budget = cfg.budget()
-    g = _ce_input_grad(model, xb, labels)
-    delta = project(cfg.epsilon * np.sign(g), budget, xb)
-    adv = xb + delta
+    # -0.0 is the exact additive identity (+0.0 would turn a -0.0 into +0.0),
+    # so the step is bitwise project(eps * sign(grad)) and x stays x
+    adv = _signed_ascent(model, xb, labels, -0.0, cfg.epsilon, 1, cfg.budget())
     return adv[0] if squeeze else adv
 
 
@@ -98,17 +115,13 @@ def pgd(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
     if cfg.kind != "pgd":
         raise ValueError(f"pgd called with kind {cfg.kind!r}")
     xb, labels, squeeze = _as_batch(model, x, y)
-    budget = cfg.budget()
     if cfg.random_start:
         rng = np.random.Generator(np.random.Philox(int(cfg.seed)))
         delta = rng.uniform(-cfg.epsilon, cfg.epsilon, size=xb.shape)
         np.clip(delta, -cfg.epsilon, cfg.epsilon, out=delta)
     else:
         delta = np.zeros_like(xb)
-    for _ in range(cfg.steps):
-        g = _ce_input_grad(model, xb + delta, labels)
-        delta = project(delta + cfg.step_size * np.sign(g), budget, xb)
-    adv = xb + delta
+    adv = _signed_ascent(model, xb, labels, delta, cfg.step_size, cfg.steps, cfg.budget())
     return adv[0] if squeeze else adv
 
 

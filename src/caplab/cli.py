@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .attacks import AttackConfig, clean_accuracy, robust_accuracy
 from .config import (
     RunConfig,
@@ -46,12 +48,12 @@ def _log(out_dir: Path, message: str) -> None:
         f.write(f"{stamp} {message}\n")
 
 
-def _resolve_out(rc: RunConfig) -> Path:
+def _out_dir(rc: RunConfig) -> Path:
+    """The output directory, not yet created: commands create it only once
+    their inputs have loaded, so a bad input leaves no directory behind."""
     if not rc.out:
         raise ConfigError("no output directory: pass --out or set run.out in the config")
-    path = Path(rc.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(rc.out)
 
 
 def _load_config(args, path: str) -> RunConfig:
@@ -80,13 +82,14 @@ def _run_training(rc: RunConfig, out_dir: Path) -> tuple[MlpModel, Dataset, Data
     train_ds, test_ds = build_datasets(rc)
     model = build_model(rc, train_ds)
     cfg = build_train_config(rc)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _log(out_dir, f"train start: config={rc.path} seed={rc.seed} kind={cfg.baseline_kind}")
     t0 = time.perf_counter()
     model, report = train(model, train_ds, cfg)
     _log(out_dir, f"train done: {time.perf_counter() - t0:.2f}s over {cfg.epochs} epochs")
     save_model(model, str(out_dir / "checkpoint.json"))
-    report.checkpoint = "checkpoint.json"
     doc = report_to_dict(report)
+    doc["checkpoint"] = "checkpoint.json"
     doc["dataset"] = _dataset_summary(train_ds, test_ds)
     _dump_json(doc, out_dir / "report.json")
     write_history_csv(report, str(out_dir / "history.csv"))
@@ -95,7 +98,7 @@ def _run_training(rc: RunConfig, out_dir: Path) -> tuple[MlpModel, Dataset, Data
 
 def cmd_train(args) -> int:
     rc = _load_config(args, args.config)
-    out_dir = _resolve_out(rc)
+    out_dir = _out_dir(rc)
     _run_training(rc, out_dir)
     print(f"wrote checkpoint.json, report.json, history.csv to {out_dir}")
     return 0
@@ -119,7 +122,7 @@ def _evaluate_suite(
             {
                 "attack": name,
                 "epsilon": cfg.epsilon,
-                "steps": cfg.steps if cfg.kind == "pgd" else 1,
+                "steps": cfg.steps,
                 "accuracy": robust_accuracy(model, dataset, cfg),
                 "n_samples": dataset.n_samples,
                 "seed": cfg.seed,
@@ -130,10 +133,11 @@ def _evaluate_suite(
 
 def cmd_eval(args) -> int:
     rc = _load_config(args, args.config)
-    out_dir = _resolve_out(rc)
+    out_dir = _out_dir(rc)
     suite = build_eval_suite(rc)
     model = load_model(args.checkpoint)
     _, test_ds = build_datasets(rc)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _log(out_dir, f"eval start: checkpoint={args.checkpoint} n={test_ds.n_samples}")
     results = _evaluate_suite(model, test_ds, suite)
     doc = {
@@ -151,7 +155,7 @@ def cmd_eval(args) -> int:
 
 def cmd_corners(args) -> int:
     rc = _load_config(args, args.config)
-    out_dir = _resolve_out(rc)
+    out_dir = _out_dir(rc)
     model = load_model(args.checkpoint)
 
     if args.sample_file:
@@ -169,6 +173,7 @@ def cmd_corners(args) -> int:
     cfg = build_corner_config(rc)
     if args.corner_seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.corner_seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     _log(out_dir, f"corners start: sample={args.sample_index} N={cfg.n_particles} T={cfg.steps}")
     _, est = find_corners(model, x, cfg)
@@ -190,13 +195,15 @@ def cmd_corners(args) -> int:
     }
     _dump_json(doc, out_dir / "estimate.json")
     c = est.center.shape[0]
-    if c in (2, 3):
-        note = "projected to the first two logit axes" if c == 3 else ""
-        (out_dir / "corners.svg").write_text(
-            corner_scatter_svg(est.corners, est.center, note), encoding="utf-8"
-        )
-    else:
+    if c not in (2, 3):
         print(f"warning: {c} logit axes, skipping SVG (only 2-D/3-D are plotted)", file=sys.stderr)
+    else:
+        note = "projected to the first two logit axes" if c == 3 else ""
+        svg = corner_scatter_svg(est.corners, est.center, note)
+        if svg is None:
+            print("warning: corner logits too large to plot, skipping SVG", file=sys.stderr)
+        else:
+            (out_dir / "corners.svg").write_text(svg, encoding="utf-8")
     print(f"diameter {est.diameter!r} over {cfg.n_particles} corners -> {out_dir}")
     _log(out_dir, "corners done")
     return 0
@@ -219,10 +226,8 @@ def cmd_compare(args) -> int:
 
     rows = []
     for tag, rc in (("a", rc_a), ("b", rc_b)):
-        sub = out_dir / tag
-        sub.mkdir(exist_ok=True)
         try:
-            model, _, test_ds = _run_training(rc, sub)
+            model, _, test_ds = _run_training(rc, out_dir / tag)
         except Exception as exc:
             _dump_json(
                 {"status": "incomplete", "failed": f"{tag}: {rc.path}", "error": str(exc)},
@@ -356,8 +361,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _keep_freed_memory()
     try:
-        return args.fn(args)
-    except NumericsError as exc:
+        # a float overflow or invalid operation (inf - inf, 0 * inf) fails
+        # the run here instead of warning and writing non-finite outputs
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
+    except (NumericsError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (CapLabError, ValueError, OSError) as exc:

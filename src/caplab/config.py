@@ -40,10 +40,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .attacks import AttackConfig
+from .attacks import ATTACK_KINDS, AttackConfig
 from .data import Dataset, gen_blobs, gen_moons, load_csv, split
 from .errors import ConfigError
-from .nn import MlpModel, init_mlp
+from .nn import ACTIVATIONS, MlpModel, init_mlp
 from .polytope import CornerConfig, PerturbationBudget
 from .seeding import (
     STREAM_DATA_TEST,
@@ -52,7 +52,7 @@ from .seeding import (
     STREAM_MODEL_INIT,
     derive_seed,
 )
-from .train import TrainConfig
+from .train import BASELINE_KINDS, TrainConfig
 
 _EVAL_TOKEN = re.compile(r"^(fgsm|pgd-(\d+))$")
 
@@ -221,10 +221,10 @@ _SCHEMA: dict[str, dict[str, tuple[Callable, object]]] = {
     },
     "model": {
         "hidden": (parse_widths, REQUIRED),
-        "activation": (_choice("relu", "identity"), "relu"),
+        "activation": (_choice(*ACTIVATIONS), "relu"),
     },
     "train": {
-        "kind": (_choice("cap", "clean", "vanilla_at"), REQUIRED),
+        "kind": (_choice(*BASELINE_KINDS), REQUIRED),
         "epochs": (_Number(int, strict=False), REQUIRED),
         "lr": (_Number(float), REQUIRED),
         "lr_drops": (parse_lr_drops, ()),
@@ -242,7 +242,7 @@ _SCHEMA: dict[str, dict[str, tuple[Callable, object]]] = {
         "input_clip": (parse_clip, None),  # derived for scaled csv data
     },
     "attack": {
-        "kind": (_choice("fgsm", "pgd"), "pgd"),
+        "kind": (_choice(*ATTACK_KINDS), "pgd"),
         "epsilon": (_Number(float, strict=False), None),  # derived: polytope epsilon
         "alpha": (_Number(float), 2 / 255),
         "steps": (_Number(int), 10),
@@ -347,7 +347,16 @@ def build_datasets(rc: RunConfig) -> tuple[Dataset, Dataset]:
             feature_scaling=data["feature_scaling"],
             has_header=data["has_header"],
         )
-        return split(full, 1.0 - data["test_fraction"], derive_seed(rc.seed, STREAM_DATA_TEST))
+        seed = derive_seed(rc.seed, STREAM_DATA_TEST)
+        train, test = split(full, 1.0 - data["test_fraction"], seed)
+        # the output layer gets one unit per class, so a stray large label
+        # would size the model; a real class has at least one training sample
+        if full.class_count > train.n_samples:
+            raise ConfigError(
+                f"data.path: {data['path']}: label {full.class_count - 1} implies "
+                f"{full.class_count} classes, more than the {train.n_samples} training samples"
+            )
+        return train, test
     n_test = data["test_n_per_class"] or data["n_per_class"]
     if kind == "blobs":
         scale, generate = "sigma", lambda seed, n: gen_blobs(seed, n, data["centers"], data["sigma"])

@@ -111,7 +111,8 @@ def load_csv(
     Labels must be nonnegative integers. With feature_scaling =
     'minmax_to_unit' every feature column is mapped to [0, 1] by its own
     min/max (a constant column maps to 0.0). Parse problems raise
-    CsvParseError naming the 1-based line number.
+    CsvParseError naming the 1-based line number, and a column whose span
+    overflows float64 one naming the 1-based column.
     """
     if feature_scaling not in ("none", "minmax_to_unit"):
         raise ValueError(f"unknown feature_scaling {feature_scaling!r}")
@@ -181,22 +182,17 @@ def load_csv(
 
     if feature_scaling == "minmax_to_unit":
         lo = feats.min(axis=0)
-        span = feats.max(axis=0) - lo
+        with np.errstate(over="ignore"):  # reported below, naming the column
+            span = feats.max(axis=0) - lo
+        if not np.isfinite(span).all():
+            c = int(np.argmin(np.isfinite(span)))
+            raise CsvParseError(
+                f"{path}: column {c + (c >= label_idx) + 1}: values span more than float64 "
+                "holds, so min-max scaling overflows"
+            )
         span[span == 0.0] = 1.0  # constant columns map to 0.0
         feats = (feats - lo) / span
     return Dataset(features=feats, labels=labels, class_count=int(labels.max()) + 1)
-
-
-def save_csv(dataset: Dataset, path: str) -> None:
-    """Write features plus a trailing label column (load_csv's default layout).
-
-    Floats are written with shortest round-trip repr, so save/load is
-    value-exact.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        for i in range(dataset.n_samples):
-            writer.writerow([repr(float(v)) for v in dataset.features[i]] + [int(dataset.labels[i])])
 
 
 def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:

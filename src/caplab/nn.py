@@ -169,40 +169,23 @@ def _cotangent_rows(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray)
     return cot
 
 
-def _backward(
-    model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Reverse pass for sum over batch rows of <cotangent_row, logits_row>.
-
-    Returns (parameter gradients in ``parameters()`` order, input gradient).
-    Relu uses subgradient 0 at exactly 0, so a pre-activation of 0.0 blocks
-    the gradient.
-    """
-    delta = _cotangent_rows(model, trace, cotangent)
-    weight_grads: list[np.ndarray] = []
-    bias_grads: list[np.ndarray] = []
-    for k in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[k]
-        if layer.activation == "relu":
-            delta = delta * (trace.preacts[k] > 0.0)
-        weight_grads.append(delta.T @ trace.inputs[k])
-        bias_grads.append(delta.sum(axis=0))
-        delta = delta @ layer.weight
-
-    grads: list[np.ndarray] = []
-    for dw, db in zip(reversed(weight_grads), reversed(bias_grads)):
-        grads.append(dw)
-        grads.append(db)
-    return grads, delta
-
-
 def grad_params(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray) -> list[np.ndarray]:
     """Exact gradients of <cotangent, logits> w.r.t. every weight and bias.
 
     For a batched trace the result is the sum over rows. The list mirrors
-    ``model.parameters()`` order.
+    ``model.parameters()`` order. Relu uses subgradient 0 at exactly 0, so a
+    pre-activation of 0.0 blocks the gradient. The pass stops at layer 0
+    and forms no input gradient; that is ``grad_input``.
     """
-    grads, _ = _backward(model, trace, cotangent)
+    delta = _cotangent_rows(model, trace, cotangent)
+    grads: list[np.ndarray] = []
+    for k in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[k]
+        if layer.activation == "relu":
+            delta = delta * (trace.preacts[k] > 0.0)
+        grads[:0] = [delta.T @ trace.inputs[k], delta.sum(axis=0)]
+        if k:
+            delta = delta @ layer.weight
     return grads
 
 
@@ -210,8 +193,8 @@ def grad_input(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray) -> n
     """Exact gradient of <cotangent, logits> w.r.t. the network input.
 
     The input-only reverse pass: the same relu masks and ``delta @ W``
-    products as ``_backward``, so the same bits, without the weight and bias
-    gradients that corner search and the attacks do not use.
+    products as ``grad_params``, so the same bits, without the weight and
+    bias gradients that corner search and the attacks do not use.
     """
     delta = _cotangent_rows(model, trace, cotangent)
     for k in range(len(model.layers) - 1, -1, -1):

@@ -4,6 +4,9 @@ byte-identical across reruns."""
 
 from __future__ import annotations
 
+import math
+from typing import Optional
+
 import numpy as np
 
 _SIZE = 420
@@ -19,14 +22,18 @@ def _scale(values: np.ndarray) -> tuple[float, float]:
     return lo - margin, hi + margin
 
 
-def corner_scatter_svg(corners: np.ndarray, center: np.ndarray, note: str = "") -> str:
+def corner_scatter_svg(corners: np.ndarray, center: np.ndarray, note: str = "") -> Optional[str]:
     """Scatter of corner logits (circles) plus the center (cross) on the
-    first two logit axes."""
+    first two logit axes. None when a plotted range is not a positive
+    finite span: logits so large that the range overflows float64, or that
+    the padding around a single point is lost to rounding."""
     corners = np.asarray(corners, dtype=np.float64)[:, :2]
     center = np.asarray(center, dtype=np.float64)[:2]
     everything = np.vstack([corners, center[None, :]])
     x_lo, x_hi = _scale(everything[:, 0])
     y_lo, y_hi = _scale(everything[:, 1])
+    if not (0 < x_hi - x_lo < math.inf and 0 < y_hi - y_lo < math.inf):
+        return None
     span = _SIZE - 2 * _PAD
 
     def px(v: float) -> float:

@@ -18,6 +18,7 @@ shared random stream, so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
@@ -100,9 +101,8 @@ class EpochRecord:
 
 @dataclass
 class TrainReport:
+    config: TrainConfig
     records: list[EpochRecord] = field(default_factory=list)
-    config: Optional[TrainConfig] = None
-    checkpoint: Optional[str] = None  # where the final model was saved, if anywhere
 
 
 def init_optimizer(model: MlpModel, cfg: TrainConfig) -> OptimizerState:
@@ -258,41 +258,16 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> tuple[MlpModel
 def report_to_dict(report: TrainReport) -> dict:
     """JSON-ready view of a report. It holds no timing, so persisted reports
     are byte-identical across reruns; wall-clock lives in the run log."""
-    recs = [
-        {
-            "epoch": r.epoch,
-            "clean_acc": r.clean_acc,
-            "ce_term": r.ce_term,
-            "reg_term": r.reg_term,
-            "mean_diameter": r.mean_diameter,
-            "lr": r.lr,
-        }
-        for r in report.records
-    ]
-    return {
-        "config": dataclasses.asdict(report.config) if report.config is not None else None,
-        "records": recs,
-        "checkpoint": report.checkpoint,
-        "seed": report.config.seed if report.config is not None else None,
-    }
+    return {**dataclasses.asdict(report), "seed": report.config.seed}
 
 
 def write_history_csv(report: TrainReport, path: str) -> None:
-    """Per-epoch history as CSV: epoch, clean_acc, ce_term, reg_term,
-    mean_diameter, lr. Floats use shortest round-trip repr."""
-    import csv as _csv
-
+    """Per-epoch history as CSV, one column per ``EpochRecord`` field in
+    field order. Floats use shortest round-trip repr; None is an empty cell."""
+    names = [f.name for f in dataclasses.fields(EpochRecord)]
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = _csv.writer(f)
-        w.writerow(["epoch", "clean_acc", "ce_term", "reg_term", "mean_diameter", "lr"])
+        w = csv.writer(f)
+        w.writerow(names)
         for r in report.records:
-            w.writerow(
-                [
-                    r.epoch,
-                    repr(float(r.clean_acc)),
-                    repr(float(r.ce_term)),
-                    repr(float(r.reg_term)),
-                    "" if r.mean_diameter is None else repr(float(r.mean_diameter)),
-                    repr(float(r.lr)),
-                ]
-            )
+            values = (getattr(r, name) for name in names)
+            w.writerow(repr(float(v)) if isinstance(v, float) else v for v in values)

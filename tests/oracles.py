@@ -1,10 +1,13 @@
-"""Single-sample reference implementations that the tests compare the
-library's batched paths against. The library itself does not use them."""
+"""Reference implementations that the tests compare the library against:
+single-sample versions of batched paths, the full reverse pass, and a CSV
+writer. The library itself does not use them."""
+
+import csv
 
 import numpy as np
 
-from caplab import MlpModel, ParticleSet, ShapeError, forward
-from caplab.nn import PROB_FLOOR
+from caplab import Dataset, ForwardTrace, MlpModel, ParticleSet, ShapeError, forward
+from caplab.nn import PROB_FLOOR, _cotangent_rows
 from caplab.polytope import _mean_ascending
 
 
@@ -52,3 +55,36 @@ def empirical_center(model: MlpModel, x: np.ndarray, particles: ParticleSet) -> 
         raise ShapeError(f"sample shape {x.shape} does not match particle dim {particles.dim}")
     logits, _ = forward(model, x[None, :] + particles.particles)
     return _mean_ascending(logits, axis=0)
+
+
+def backward(
+    model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The full reverse pass for sum over rows of <cotangent_row, logits_row>:
+    (parameter gradients in ``parameters()`` order, input gradient as rows).
+    ``grad_params`` and ``grad_input`` each compute one half of it."""
+    delta = _cotangent_rows(model, trace, cotangent)
+    weight_grads: list[np.ndarray] = []
+    bias_grads: list[np.ndarray] = []
+    for k in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[k]
+        if layer.activation == "relu":
+            delta = delta * (trace.preacts[k] > 0.0)
+        weight_grads.append(delta.T @ trace.inputs[k])
+        bias_grads.append(delta.sum(axis=0))
+        delta = delta @ layer.weight
+
+    grads: list[np.ndarray] = []
+    for dw, db in zip(reversed(weight_grads), reversed(bias_grads)):
+        grads.append(dw)
+        grads.append(db)
+    return grads, delta
+
+
+def save_csv(dataset: Dataset, path: str) -> None:
+    """Write features plus a trailing label column (load_csv's default
+    layout), floats in shortest round-trip repr, so a reload is value-exact."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        for i in range(dataset.n_samples):
+            writer.writerow([repr(float(v)) for v in dataset.features[i]] + [int(dataset.labels[i])])

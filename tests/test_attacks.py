@@ -104,6 +104,17 @@ class TestPgd:
         f_cfg = AttackConfig("fgsm", epsilon=eps)
         p_cfg = AttackConfig("pgd", epsilon=eps, step_size=eps, steps=1, random_start=False)
         assert np.array_equal(pgd(model, x, 2, p_cfg), fgsm(model, x, 2, f_cfg))
+        # a batch whose rows sit near the domain edges, so the clip binds
+        X = rng.uniform(-1.0, 1.0, size=(8, 4))
+        labels = rng.integers(0, 3, size=8)
+        clip = (-1.0, 1.0)
+        f_cfg = AttackConfig("fgsm", epsilon=eps, input_clip=clip)
+        p_cfg = AttackConfig(
+            "pgd", epsilon=eps, step_size=eps, steps=1, random_start=False, input_clip=clip
+        )
+        adv = fgsm(model, X, labels, f_cfg)
+        assert np.any((adv == clip[0]) | (adv == clip[1]))
+        assert pgd(model, X, labels, p_cfg).tobytes() == adv.tobytes()
 
     def test_zero_epsilon_returns_input(self):
         model = init_mlp(45, [2, 4, 2])

@@ -358,6 +358,32 @@ class TestCornersCommand:
         assert not (out / "corners.svg").exists()
         assert "skipping SVG" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, want",
+        [
+            # logits near 1e19: padding a single point by 0.5 is lost to rounding
+            ("9223372036854775808,-1.5,0", 0),
+            # the forward pass overflows float64: a numeric failure, not a warning
+            ("1e308,-1.5,0", 3),
+        ],
+        ids=["unplottable", "overflow"],
+    )
+    def test_huge_sample_writes_no_nan_svg(self, tmp_path, capsys, row, want):
+        save_model(init_mlp(0, [2, 16, 3]), str(tmp_path / "m.json"))
+        sample = tmp_path / "s.csv"
+        sample.write_text(row + "\n")
+        out = tmp_path / "crn"
+        argv = ["corners", "--config", write_mini(tmp_path), "--checkpoint",
+                str(tmp_path / "m.json"), "--sample-file", str(sample), "--out", str(out)]
+        assert main(argv) == want
+        err = capsys.readouterr().err
+        assert not (out / "corners.svg").exists()
+        if want == 0:
+            assert (out / "estimate.json").is_file()
+            assert "too large to plot, skipping SVG" in err
+        else:
+            assert err == "numeric failure: overflow encountered in matmul\n"
+
     def test_out_of_range_sample_index_exits_2(self, tmp_path):
         cfg = write_mini(tmp_path, epochs=1)
         run = tmp_path / "run"
@@ -515,6 +541,22 @@ def test_overflowing_noise_scale_exits_2_naming_key(tmp_path, capsys, key, data)
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: data.{key}: {key} = 1e+308 overflows") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_label_beyond_training_samples_exits_2_before_sizing_model(tmp_path, capsys):
+    # one label of 10^15 would ask for a 10^15-wide output layer
+    data = tmp_path / "d.csv"
+    data.write_text("0.1,0\n0.2,1\n0.3,0\n0.4,1000000000000000\n")
+    path = tmp_path / "c.ini"
+    path.write_text(
+        f"[data]\nkind = csv\npath = {data}\ntest_fraction = 0.25\n\n[model]\nhidden = 4\n\n"
+        "[train]\nkind = clean\nepochs = 1\nlr = 0.1\n"
+    )
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data.path: {data}: label 1000000000000000 ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def run_quietly(argv):

@@ -1,5 +1,7 @@
 """Dataset generator and CSV loader tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,12 @@ from caplab import (
     gen_moons,
     init_mlp,
     load_csv,
-    save_csv,
     split,
     train,
 )
 from caplab.polytope import CornerConfig, PerturbationBudget
 from mutations import csv_files
+from oracles import save_csv
 
 
 class TestBlobs:
@@ -122,6 +124,16 @@ class TestCsv:
         path.write_text("\n".join(lines) + "\n")
         ds = load_csv(str(path), feature_scaling="minmax_to_unit")
         assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
+
+    def test_minmax_overflow_names_column_without_warning(self, tmp_path):
+        # the label sits in column 1, so the wide feature is file column 3
+        path = tmp_path / "wide.csv"
+        path.write_text("0.5,0,1e308\n0.25,1,-1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvParseError, match="column 3: values span"):
+                load_csv(str(path), label_column=1, feature_scaling="minmax_to_unit")
+            assert load_csv(str(path), label_column=1).features[0, 1] == 1e308
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"

@@ -20,9 +20,9 @@ from caplab import (
     save_model,
     softmax,
 )
-from caplab.nn import _backward, model_from_dict, model_to_dict
+from caplab.nn import model_from_dict, model_to_dict
 from mutations import checkpoint_docs
-from oracles import cross_entropy, one_hot
+from oracles import backward, cross_entropy, one_hot
 
 
 def naive_forward(model, x):
@@ -310,8 +310,12 @@ class TestGradients:
         _, trace = forward(model, x)
         assert trace.preacts[0][0, 0] == 0.0
         cot = rng.standard_normal((6, 2) if batched else 2)
-        _, full = _backward(model, trace, cot)
+        params, full = backward(model, trace, cot)
         assert np.array_equal(grad_input(model, trace, cot), full if batched else full[0])
+        got = grad_params(model, trace, cot)
+        assert len(got) == len(params)
+        for a, b in zip(got, params):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_batched_grads_accumulate_rows(self):
         rng = np.random.default_rng(16)
