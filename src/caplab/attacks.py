@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericsError, ShapeError
 from .nn import MlpModel, forward, grad_input, softmax
-from .polytope import PerturbationBudget, project
+from .polytope import PerturbationBudget, _feasible_box
 
 ATTACK_KINDS = ("fgsm", "pgd")
 
@@ -82,10 +82,12 @@ def _signed_ascent(
     budget: PerturbationBudget,
 ) -> np.ndarray:
     """x + delta after ``steps`` signed-gradient steps of size ``step`` from
-    ``delta``, each projected back to the budget box around the clean x."""
+    ``delta``, each projected back to the budget box around the clean x
+    (the ``project`` clamp, with its bounds built once)."""
+    lower, upper = _feasible_box(budget, xb)
     for _ in range(steps):
         g = _ce_input_grad(model, xb + delta, labels)
-        delta = project(delta + step * np.sign(g), budget, xb)
+        delta = np.clip(delta + step * np.sign(g), lower, upper)
     return xb + delta
 
 

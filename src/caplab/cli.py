@@ -194,6 +194,12 @@ def cmd_corners(args) -> int:
         "objective_history": est.objective_history.tolist(),
     }
     _dump_json(doc, out_dir / "estimate.json")
+    if est.diameter == 0.0 and cfg.budget.epsilon > 0 and cfg.n_particles > 1:
+        print(
+            f"warning: all {cfg.n_particles} corners coincide; epsilon {cfg.budget.epsilon!r} "
+            "may be below the float resolution of this sample's outputs",
+            file=sys.stderr,
+        )
     c = est.center.shape[0]
     if c not in (2, 3):
         print(f"warning: {c} logit axes, skipping SVG (only 2-D/3-D are plotted)", file=sys.stderr)

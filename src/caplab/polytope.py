@@ -11,6 +11,11 @@ independent, so one batched forward/backward steps every particle of every
 sample at once. corner_search_batch is the only search engine; find_corners
 runs it on a batch of one.
 
+Each sample's center is one sequential accumulate over its particles in
+ascending index order, so it does not depend on how numpy would otherwise
+pair up a sum. The feasible box depends only on x and the budget, so a
+search builds it once and each step is a single clamp to it.
+
 Sample b's particles are the stream of ``np.random.Philox(seed_b)``, with
 seed_b a ``derive_seed`` value. The seeds, the Philox keys and the draws of
 a batch are made together (see ``seeding``), bit-identical to making them
@@ -182,6 +187,15 @@ def project(
     single vector or on any stack of vectors broadcast against x.
     """
     p = np.asarray(p, dtype=np.float64)
+    lower, upper = _feasible_box(budget, x)
+    return np.clip(p, lower, upper)
+
+
+def _feasible_box(
+    budget: PerturbationBudget, x: Optional[np.ndarray]
+) -> tuple[np.ndarray | float, np.ndarray | float]:
+    """project's (lower, upper) bounds on a perturbation of x. They depend on
+    x and the budget only, so an iterative search builds them once."""
     eps = budget.epsilon
     lower: np.ndarray | float = -eps
     upper: np.ndarray | float = eps
@@ -194,17 +208,19 @@ def project(
         upper = np.minimum(upper, hi - x)
         if np.any(lower > upper):
             raise ValueError("clean sample lies outside the input_clip domain")
-    return np.clip(p, lower, upper)
+    return lower, upper
 
 
 def _mean_ascending(values: np.ndarray, axis: int) -> np.ndarray:
-    """Mean with a fixed ascending-index reduction order along ``axis``."""
+    """Mean with a fixed ascending-index reduction order along ``axis``.
+
+    The sum is the last slice of ``np.add.accumulate``, which adds one
+    element after another in ascending index order (``np.add.reduce`` may
+    sum pairwise instead), then one division by n.
+    """
     n = values.shape[axis]
-    moved = np.moveaxis(values, axis, 0)
-    acc = moved[0].astype(np.float64, copy=True)
-    for k in range(1, n):
-        acc += moved[k]
-    return acc / n
+    last = (slice(None),) * (axis % values.ndim) + (n - 1,)
+    return np.add.accumulate(values, axis=axis, dtype=np.float64)[last] / n
 
 
 def ascend_step(
@@ -257,30 +273,34 @@ def corner_search_batch(
         raise ValueError("one seed per sample is required")
     N, T, eta, budget = cfg.n_particles, cfg.steps, cfg.eta, cfg.budget
 
-    P = _uniform_particles(seeds, N, d, budget.epsilon)
     Xb = X[:, None, :]
+    lower, upper = _feasible_box(budget, Xb)
+    P = _uniform_particles(seeds, N, d, budget.epsilon)
     # Establish x + e feasibility up front; a pure epsilon-box budget is
     # already satisfied by construction, so this clamp is then a no-op.
-    P = project(P, budget, Xb)
+    P = np.clip(P, lower, upper)
 
     logits, trace = forward(model, (Xb + P).reshape(B * N, d))
     c = logits.shape[1]
     L = logits.reshape(B, N, c)
     centers = _mean_ascending(L, axis=1)
+    resid = L - centers[:, None, :]
     history = np.empty((B, T), dtype=np.float64)
 
     for t in range(T):
-        resid = L - centers[:, None, :]
         g = grad_input(model, trace, 2.0 * resid.reshape(B * N, c)).reshape(B, N, d)
         if not np.isfinite(g).all():
             bad = np.argwhere(~np.isfinite(g).all(axis=2))
             i, n = int(bad[0, 0]), int(bad[0, 1])
             raise NumericsError(f"non-finite ascent gradient for particle {n} of sample {i}")
-        P = project(P + eta * g, budget, Xb)
+        P = np.clip(P + eta * g, lower, upper)
         logits, trace = forward(model, (Xb + P).reshape(B * N, d))
         L = logits.reshape(B, N, c)
         centers = _mean_ascending(L, axis=1)
-        history[:, t] = ((L - centers[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
+        # this residual is also the next step's cotangent (halved);
+        # np.add.reduce / N is np.mean's own arithmetic without its wrapper
+        resid = L - centers[:, None, :]
+        history[:, t] = np.add.reduce((resid**2).sum(axis=2), axis=1) / N
 
     return P, L, centers, history, trace
 

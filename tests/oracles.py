@@ -1,14 +1,26 @@
 """Reference implementations that the tests compare the library against:
-single-sample versions of batched paths, the full reverse pass, and a CSV
-writer. The library itself does not use them."""
+single-sample versions of batched paths, the full reverse pass, the corner
+search loop written step by step, and a CSV writer. The library itself does
+not use them."""
 
 import csv
 
 import numpy as np
 
-from caplab import Dataset, ForwardTrace, MlpModel, ParticleSet, ShapeError, forward
+from caplab import (
+    CornerConfig,
+    Dataset,
+    ForwardTrace,
+    MlpModel,
+    NumericsError,
+    ParticleSet,
+    ShapeError,
+    forward,
+    grad_input,
+    project,
+)
 from caplab.nn import PROB_FLOOR, _cotangent_rows
-from caplab.polytope import _mean_ascending
+from caplab.polytope import _uniform_particles
 
 
 def one_hot(index: int, n_classes: int) -> np.ndarray:
@@ -54,7 +66,51 @@ def empirical_center(model: MlpModel, x: np.ndarray, particles: ParticleSet) -> 
     if x.shape != (particles.dim,):
         raise ShapeError(f"sample shape {x.shape} does not match particle dim {particles.dim}")
     logits, _ = forward(model, x[None, :] + particles.particles)
-    return _mean_ascending(logits, axis=0)
+    return mean_ascending(logits, axis=0)
+
+
+def mean_ascending(values: np.ndarray, axis: int) -> np.ndarray:
+    """Mean along ``axis`` as an explicit loop: slice 0, then slices 1, 2, ...
+    added one at a time, then one division."""
+    n = values.shape[axis]
+    moved = np.moveaxis(values, axis, 0)
+    acc = moved[0].astype(np.float64, copy=True)
+    for k in range(1, n):
+        acc += moved[k]
+    return acc / n
+
+
+def corner_search_reference(model: MlpModel, X: np.ndarray, seeds, cfg: CornerConfig):
+    """corner_search_batch written the long way: ``project`` on every step,
+    the looped center, and the residual formed twice per step (once for the
+    history, once more as the next step's cotangent). Returns (particles,
+    corner logits, centers, objective history)."""
+    X = np.asarray(X, dtype=np.float64)
+    B, d = X.shape
+    N, T, eta, budget = cfg.n_particles, cfg.steps, cfg.eta, cfg.budget
+
+    P = _uniform_particles(seeds, N, d, budget.epsilon)
+    Xb = X[:, None, :]
+    P = project(P, budget, Xb)
+
+    logits, trace = forward(model, (Xb + P).reshape(B * N, d))
+    c = logits.shape[1]
+    L = logits.reshape(B, N, c)
+    centers = mean_ascending(L, axis=1)
+    history = np.empty((B, T), dtype=np.float64)
+
+    for t in range(T):
+        resid = L - centers[:, None, :]
+        g = grad_input(model, trace, 2.0 * resid.reshape(B * N, c)).reshape(B, N, d)
+        if not np.isfinite(g).all():
+            raise NumericsError("non-finite ascent gradient")
+        P = project(P + eta * g, budget, Xb)
+        logits, trace = forward(model, (Xb + P).reshape(B * N, d))
+        L = logits.reshape(B, N, c)
+        centers = mean_ascending(L, axis=1)
+        history[:, t] = ((L - centers[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
+
+    return P, L, centers, history
 
 
 def backward(

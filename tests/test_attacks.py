@@ -13,12 +13,15 @@ from caplab import (
     MlpModel,
     PerturbationBudget,
     TrainConfig,
+    attack,
     clean_accuracy,
     fgsm,
     forward,
     gen_blobs,
+    grad_input,
     init_mlp,
     pgd,
+    project,
     robust_accuracy,
     softmax,
     train,
@@ -35,6 +38,16 @@ def linear_model(W, b=None):
 def ce_of(model, x, y):
     logits, _ = forward(model, x)
     return cross_entropy(softmax(logits), one_hot(y, model.output_dim))
+
+
+def signed_ascent_reference(model, x, labels, delta, step, steps, budget):
+    """The attack loop with ``project`` called on every step."""
+    for _ in range(steps):
+        logits, trace = forward(model, x + delta)
+        cot = softmax(logits)
+        cot[np.arange(x.shape[0]), labels] -= 1.0
+        delta = project(delta + step * np.sign(grad_input(model, trace, cot)), budget, x)
+    return x + delta
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +201,43 @@ class TestFeasibility:
                 adv = pgd(model, x, y, cfg)
             assert np.abs(adv - x).max() <= eps + 1e-12
             assert adv.min() >= 0.0 and adv.max() <= 1.0
+
+    def test_equal_to_per_step_projection_loop_with_input_clip(self):
+        rng = np.random.default_rng(50)
+        model = init_mlp(51, [4, 8, 3])
+        X = rng.uniform(0.0, 1.0, size=(12, 4))
+        labels = rng.integers(0, 3, size=12)
+        clip, eps = (0.0, 1.0), 0.2
+        budget = PerturbationBudget(eps, input_clip=clip)
+        f_cfg = AttackConfig("fgsm", epsilon=eps, input_clip=clip)
+        adv = fgsm(model, X, labels, f_cfg)
+        assert np.any((adv == clip[0]) | (adv == clip[1]))
+        want = signed_ascent_reference(model, X, labels, -0.0, eps, 1, budget)
+        assert adv.tobytes() == want.tobytes()
+        for random_start in (False, True):
+            p_cfg = AttackConfig(
+                "pgd", eps, 0.05, 7, random_start=random_start, input_clip=clip, seed=52
+            )
+            delta = np.zeros_like(X)
+            if random_start:
+                delta = np.random.Generator(np.random.Philox(52)).uniform(-eps, eps, size=X.shape)
+                np.clip(delta, -eps, eps, out=delta)
+            want = signed_ascent_reference(model, X, labels, delta, 0.05, 7, budget)
+            assert pgd(model, X, labels, p_cfg).tobytes() == want.tobytes()
+
+    def test_sample_outside_input_clip_raises_before_any_forward(self, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass ran")
+
+        monkeypatch.setattr("caplab.attacks.forward", no_forward)
+        model = init_mlp(53, [2, 4, 3])
+        x = np.array([[0.5, 0.5], [2.0, 0.5]])
+        for cfg in (
+            AttackConfig("fgsm", 0.1, input_clip=(0.0, 1.0)),
+            AttackConfig("pgd", 0.1, 0.05, 3, random_start=True, input_clip=(0.0, 1.0)),
+        ):
+            with pytest.raises(ValueError, match="outside the input_clip domain"):
+                attack(model, x, [0, 1], cfg)
 
 
 class TestRobustAccuracy:

@@ -356,7 +356,9 @@ class TestCornersCommand:
         assert code == 0
         assert (out / "estimate.json").is_file()
         assert not (out / "corners.svg").exists()
-        assert "skipping SVG" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "skipping SVG" in err
+        assert "coincide" not in err
 
     @pytest.mark.parametrize(
         "row, want",
@@ -381,6 +383,9 @@ class TestCornersCommand:
         if want == 0:
             assert (out / "estimate.json").is_file()
             assert "too large to plot, skipping SVG" in err
+            # x + e rounds back to x for every particle: all corners are one point
+            assert json.loads((out / "estimate.json").read_text())["diameter"] == 0.0
+            assert "warning: all 5 corners coincide; epsilon 0.1 may be below the float" in err
         else:
             assert err == "numeric failure: overflow encountered in matmul\n"
 

@@ -22,9 +22,9 @@ from caplab import (
     mean_diameter,
     project,
 )
-from caplab.polytope import max_pairwise_distance
-from caplab.seeding import derive_seed
-from oracles import empirical_center
+from caplab.polytope import _mean_ascending, corner_search_batch, max_pairwise_distance
+from caplab.seeding import derive_seed, derive_seeds
+from oracles import corner_search_reference, empirical_center, mean_ascending
 
 
 def linear_model(W, b=None):
@@ -155,6 +155,31 @@ class TestEmpiricalCenter:
         ps = init_particles(11, 7, 4, PerturbationBudget(0.4))
         want = W @ (x + ps.particles.mean(axis=0))
         assert np.allclose(empirical_center(model, x, ps), want, rtol=0, atol=1e-12)
+
+
+class TestMeanAscending:
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [
+            ((4, 1, 3), 1),
+            ((10, 3), 0),
+            ((3, 20), 1),
+            ((1, 10, 3), 1),
+            ((16, 10, 3), 1),
+            ((44, 10, 3), 1),
+            ((128, 10, 3), 1),
+        ],
+    )
+    def test_equals_the_loop_bitwise(self, shape, axis):
+        # magnitudes spread over 12 decades, so a different summation order
+        # would show in the low bits; along a contiguous axis of 20,
+        # np.add.reduce sums pairwise and differs from the loop here
+        rng = np.random.default_rng(24)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+        got = _mean_ascending(values, axis=axis)
+        want = mean_ascending(values, axis=axis)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAscendStep:
@@ -348,8 +373,6 @@ class TestFindCorners:
         # a multi-sample batch fuses all ascent steps into one backward;
         # BLAS may reassociate differently than on a batch of one, so values
         # may differ from find_corners only by float reassociation
-        from caplab.polytope import corner_search_batch
-
         model = init_mlp(34, [3, 10, 3])
         rng = np.random.default_rng(35)
         X = rng.standard_normal((6, 3))
@@ -362,6 +385,39 @@ class TestFindCorners:
             )
             assert np.allclose(P[i], pset.particles, rtol=0, atol=1e-12)
             assert np.allclose(centers[i], est.center, rtol=0, atol=1e-12)
+
+
+class TestCornerSearchReference:
+    @pytest.mark.parametrize("clip", [None, (-1.0, 1.0)], ids=["eps-box", "input-clip"])
+    @pytest.mark.parametrize("B", [1, 16, 44, 128])
+    def test_equals_the_step_by_step_loop_bitwise(self, B, clip):
+        model = init_mlp(36, [2, 32, 32, 3])
+        rng = np.random.default_rng(37)
+        # rows spread up to the domain edges, the first within eps of two of
+        # them, so the clip cuts into the eps-box at every B
+        X = rng.uniform(-1.0, 1.0, size=(B, 2))
+        X[0] = [0.85, -0.9]
+        cfg = CornerConfig(10, 10, 0.05, PerturbationBudget(0.3, input_clip=clip), seed=5)
+        seeds = derive_seeds(cfg.seed, (), np.arange(B))
+        P, L, centers, history, _ = corner_search_batch(model, X, seeds, cfg)
+        want = corner_search_reference(model, X, seeds, cfg)
+        for got, ref in zip((P, L, centers, history), want):
+            assert got.tobytes() == ref.tobytes()
+        if clip is not None:
+            assert np.any(np.abs(X[:, None, :] + P) == 1.0)
+
+    def test_sample_outside_input_clip_raises_before_any_forward(self, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass ran")
+
+        monkeypatch.setattr("caplab.polytope.forward", no_forward)
+        model = init_mlp(38, [2, 4, 3])
+        cfg = CornerConfig(3, 2, 0.05, PerturbationBudget(0.1, input_clip=(0.0, 1.0)))
+        x = np.array([2.0, 0.5])
+        with pytest.raises(ValueError, match="outside the input_clip domain"):
+            find_corners(model, x, cfg)
+        with pytest.raises(ValueError, match="outside the input_clip domain"):
+            corner_search_batch(model, np.array([[0.5, 0.5], x]), [1, 2], cfg)
 
 
 class TestDiameter:
