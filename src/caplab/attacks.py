@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericsError, ShapeError
 from .nn import MlpModel, forward, grad_input, softmax
-from .polytope import PerturbationBudget, _feasible_box
+from .polytope import PerturbationBudget, _feasible_box, _uniform_particles
 
 ATTACK_KINDS = ("fgsm", "pgd")
 
@@ -63,8 +63,7 @@ def _as_batch(model: MlpModel, x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray
 def _ce_input_grad(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Rowwise gradient of CE(softmax(f(x)), y) w.r.t. x."""
     logits, trace = forward(model, x)
-    probs = softmax(logits)
-    cot = probs.copy()
+    cot = softmax(logits)
     cot[np.arange(x.shape[0]), labels] -= 1.0
     g = grad_input(model, trace, cot)
     if not np.isfinite(g).all():
@@ -110,17 +109,16 @@ def fgsm(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
 def pgd(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
     """Iterated signed-gradient ascent with projection back to the budget box.
 
-    Optional uniform random start in [-eps, eps]^d (seeded by cfg.seed);
-    every iteration ends with the exact box projection around the clean x,
-    so the returned sample is always feasible.
+    Optional uniform random start in [-eps, eps]^d (the corner search's
+    particle draw, seeded by cfg.seed); every iteration ends with the exact
+    box projection around the clean x, so the returned sample is always
+    feasible.
     """
     if cfg.kind != "pgd":
         raise ValueError(f"pgd called with kind {cfg.kind!r}")
     xb, labels, squeeze = _as_batch(model, x, y)
     if cfg.random_start:
-        rng = np.random.Generator(np.random.Philox(int(cfg.seed)))
-        delta = rng.uniform(-cfg.epsilon, cfg.epsilon, size=xb.shape)
-        np.clip(delta, -cfg.epsilon, cfg.epsilon, out=delta)
+        delta = _uniform_particles([cfg.seed], *xb.shape, cfg.epsilon)[0]
     else:
         delta = np.zeros_like(xb)
     adv = _signed_ascent(model, xb, labels, delta, cfg.step_size, cfg.steps, cfg.budget())

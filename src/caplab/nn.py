@@ -14,6 +14,8 @@ All public entry points accept a single sample of shape (d,) or a batch of
 rows (B, d); batch semantics are per-row application of the single-sample
 contract. Internally everything runs on 2-D arrays through one code path,
 so results are deterministic and bit-reproducible for identical inputs.
+The forward trace keeps each layer's input and nothing else: the backward
+pass reads a relu layer's mask off the next layer's input.
 """
 
 from __future__ import annotations
@@ -105,14 +107,15 @@ class MlpModel:
 class ForwardTrace:
     """Activations retained from a forward pass for the paired backward.
 
-    ``inputs[k]`` is the input to layer k (so inputs[0] is the network input)
-    and ``preacts[k]`` is layer k's pre-activation. Both are stored as 2-D
-    (batch, width) arrays; ``squeeze`` records whether the original input was
-    a single (d,) vector.
+    ``inputs[k]`` is the input to layer k (so inputs[0] is the network input),
+    stored as 2-D (batch, width) arrays; ``squeeze`` records whether the
+    original input was a single (d,) vector. A relu layer k's mask is read
+    from ``inputs[k + 1] = max(z, 0)``: ``max(z, 0) > 0`` is ``z > 0`` for
+    every float64 z (signed zeros, infinities and NaN included), and the
+    last layer is identity, so every relu layer has a next input.
     """
 
     inputs: list[np.ndarray] = field(default_factory=list)
-    preacts: list[np.ndarray] = field(default_factory=list)
     squeeze: bool = False
 
     @property
@@ -144,7 +147,6 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     for layer in model.layers:
         trace.inputs.append(a)
         z = a @ layer.weight.T + layer.bias
-        trace.preacts.append(z)
         if layer.activation == "relu":
             a = np.maximum(z, 0.0)
         else:
@@ -182,7 +184,7 @@ def grad_params(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray) -> 
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         if layer.activation == "relu":
-            delta = delta * (trace.preacts[k] > 0.0)
+            delta = delta * (trace.inputs[k + 1] > 0.0)
         grads[:0] = [delta.T @ trace.inputs[k], delta.sum(axis=0)]
         if k:
             delta = delta @ layer.weight
@@ -200,7 +202,7 @@ def grad_input(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray) -> n
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         if layer.activation == "relu":
-            delta = delta * (trace.preacts[k] > 0.0)
+            delta = delta * (trace.inputs[k + 1] > 0.0)
         delta = delta @ layer.weight
     return delta[0] if trace.squeeze else delta
 

@@ -154,17 +154,13 @@ def _batch_gradients(
     batch_index: int,
 ) -> tuple[list[np.ndarray], float, float]:
     """Mean-loss gradients for one minibatch; returns (grads, ce_sum, reg_sum)."""
-    kind = cfg.baseline_kind
-    if kind == "vanilla_at":
+    if cfg.baseline_kind == "vanilla_at":
         atk = dataclasses.replace(
             cfg.attack, seed=derive_seed(cfg.seed, STREAM_ATTACK, epoch, batch_index)
         )
         X = attack(model, X, labels, atk)
-        grads, ce_rows = _ce_gradients(model, X, labels)
-        return grads, float(ce_rows.sum()), 0.0
-
     grads, ce_rows = _ce_gradients(model, X, labels)
-    if kind == "clean" or cfg.lam == 0.0:
+    if cfg.baseline_kind != "cap" or cfg.lam == 0.0:
         # lam = 0 contributes exactly nothing, so the corner search is skipped.
         return grads, float(ce_rows.sum()), 0.0
 

@@ -113,19 +113,28 @@ def corner_search_reference(model: MlpModel, X: np.ndarray, seeds, cfg: CornerCo
     return P, L, centers, history
 
 
+def preactivations(model: MlpModel, trace: ForwardTrace) -> list[np.ndarray]:
+    """Each layer's pre-activation ``inputs[k] @ W.T + b``, recomputed from
+    the trace (the forward pass keeps only the layer inputs)."""
+    return [a @ layer.weight.T + layer.bias for a, layer in zip(trace.inputs, model.layers)]
+
+
 def backward(
     model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The full reverse pass for sum over rows of <cotangent_row, logits_row>:
     (parameter gradients in ``parameters()`` order, input gradient as rows).
-    ``grad_params`` and ``grad_input`` each compute one half of it."""
+    ``grad_params`` and ``grad_input`` each compute one half of it. Relu
+    masks come from the recomputed pre-activations ``z > 0``, not from the
+    next layer's input as in the library."""
     delta = _cotangent_rows(model, trace, cotangent)
+    preacts = preactivations(model, trace)
     weight_grads: list[np.ndarray] = []
     bias_grads: list[np.ndarray] = []
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         if layer.activation == "relu":
-            delta = delta * (trace.preacts[k] > 0.0)
+            delta = delta * (preacts[k] > 0.0)
         weight_grads.append(delta.T @ trace.inputs[k])
         bias_grads.append(delta.sum(axis=0))
         delta = delta @ layer.weight

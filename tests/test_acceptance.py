@@ -34,7 +34,7 @@ from caplab import (
 from caplab.cli import main as cli_main
 from caplab.nn import softmax
 from caplab.seeding import derive_seed, derive_seeds
-from oracles import cross_entropy, one_hot
+from oracles import cross_entropy, one_hot, preactivations
 
 # The canonical three-blob benchmark (mirrors presets/blobs_*.ini): an
 # equilateral triangle of tight clusters whose decision margins sit just
@@ -151,7 +151,7 @@ def test_criterion_1_gradient_fidelity():
             model = init_mlp(int(rng.integers(0, 2**31)), dims)
             x = rng.standard_normal(dims[0])
             _, trace = forward(model, x)
-            if all(np.abs(z).min() > 1e-4 for z in trace.preacts):
+            if all(np.abs(z).min() > 1e-4 for z in preactivations(model, trace)):
                 break
         cot = rng.standard_normal(dims[-1])
         _, trace = forward(model, x)

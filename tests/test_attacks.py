@@ -207,23 +207,32 @@ class TestFeasibility:
         model = init_mlp(51, [4, 8, 3])
         X = rng.uniform(0.0, 1.0, size=(12, 4))
         labels = rng.integers(0, 3, size=12)
-        clip, eps = (0.0, 1.0), 0.2
-        budget = PerturbationBudget(eps, input_clip=clip)
-        f_cfg = AttackConfig("fgsm", epsilon=eps, input_clip=clip)
-        adv = fgsm(model, X, labels, f_cfg)
-        assert np.any((adv == clip[0]) | (adv == clip[1]))
-        want = signed_ascent_reference(model, X, labels, -0.0, eps, 1, budget)
-        assert adv.tobytes() == want.tobytes()
-        for random_start in (False, True):
-            p_cfg = AttackConfig(
-                "pgd", eps, 0.05, 7, random_start=random_start, input_clip=clip, seed=52
-            )
-            delta = np.zeros_like(X)
-            if random_start:
-                delta = np.random.Generator(np.random.Philox(52)).uniform(-eps, eps, size=X.shape)
-                np.clip(delta, -eps, eps, out=delta)
-            want = signed_ascent_reference(model, X, labels, delta, 0.05, 7, budget)
-            assert pgd(model, X, labels, p_cfg).tobytes() == want.tobytes()
+        eps = 0.2
+        # a batch under an input_clip that binds, the batch without a clip,
+        # and a single (d,) sample under the clip
+        for clip, x, y in (
+            ((0.0, 1.0), X, labels),
+            (None, X, labels),
+            ((0.0, 1.0), X[3], int(labels[3])),
+        ):
+            xb, yb = np.atleast_2d(x), np.atleast_1d(y)
+            budget = PerturbationBudget(eps, input_clip=clip)
+            adv = fgsm(model, x, y, AttackConfig("fgsm", epsilon=eps, input_clip=clip))
+            if clip is not None and x.ndim == 2:
+                assert np.any((adv == clip[0]) | (adv == clip[1]))
+            want = signed_ascent_reference(model, xb, yb, -0.0, eps, 1, budget)
+            assert adv.shape == x.shape and adv.tobytes() == want.tobytes()
+            for random_start in (False, True):
+                p_cfg = AttackConfig(
+                    "pgd", eps, 0.05, 7, random_start=random_start, input_clip=clip, seed=52
+                )
+                delta = np.zeros_like(xb)
+                if random_start:
+                    gen = np.random.Generator(np.random.Philox(52))
+                    delta = gen.uniform(-eps, eps, size=xb.shape)
+                    np.clip(delta, -eps, eps, out=delta)
+                want = signed_ascent_reference(model, xb, yb, delta, 0.05, 7, budget)
+                assert pgd(model, x, y, p_cfg).tobytes() == want.tobytes()
 
     def test_sample_outside_input_clip_raises_before_any_forward(self, monkeypatch):
         def no_forward(*args, **kwargs):

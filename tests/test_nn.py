@@ -22,7 +22,7 @@ from caplab import (
 )
 from caplab.nn import model_from_dict, model_to_dict
 from mutations import checkpoint_docs
-from oracles import backward, cross_entropy, one_hot
+from oracles import backward, cross_entropy, one_hot, preactivations
 
 
 def naive_forward(model, x):
@@ -62,7 +62,7 @@ def safe_case(rng, margin=1e-4):
         model, dims = random_model(rng)
         x = rng.standard_normal(dims[0])
         _, trace = forward(model, x)
-        if all(np.abs(z).min() > margin for z in trace.preacts):
+        if all(np.abs(z).min() > margin for z in preactivations(model, trace)):
             return model, x
 
 
@@ -291,8 +291,15 @@ class TestGradients:
         )
         x = np.array([1.0])
         _, trace = forward(model, x)
-        assert trace.preacts[0][0, 0] == 0.0
+        assert preactivations(model, trace)[0][0, 0] == 0.0
         assert grad_input(model, trace, np.array([1.0])) == np.array([0.0])
+
+    def test_relu_mask_from_next_input_is_the_preactivation_mask(self):
+        # the engine masks relu layer k with inputs[k + 1] = max(z, 0) > 0;
+        # that is z > 0 at every class of float64, also where forward's GEMM
+        # does not reach (-0.0: its sums start from +0.0) or only by overflow
+        z = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf, np.nan])
+        assert np.array_equal(np.maximum(z, 0.0) > 0.0, z > 0.0)
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("batched", [False, True])
@@ -302,20 +309,23 @@ class TestGradients:
         for layer in model.layers[:-1]:
             layer.activation = activation
         X = rng.standard_normal((6, 3))
-        # row 0 puts hidden unit 0 at a pre-activation of exactly 0.0
-        X[0] = 0.0
         model.layers[0].bias[:] = rng.standard_normal(7)
-        model.layers[0].bias[0] = 0.0
         x = X if batched else X[0]
-        _, trace = forward(model, x)
-        assert trace.preacts[0][0, 0] == 0.0
         cot = rng.standard_normal((6, 2) if batched else 2)
-        params, full = backward(model, trace, cot)
-        assert np.array_equal(grad_input(model, trace, cot), full if batched else full[0])
-        got = grad_params(model, trace, cot)
-        assert len(got) == len(params)
-        for a, b in zip(got, params):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for zero in (0.0, -0.0):
+            # hidden unit 0 sits at a pre-activation of exactly zero in every
+            # row: its weights and bias are the signed zero
+            model.layers[0].weight[0] = zero
+            model.layers[0].bias[0] = zero
+            _, trace = forward(model, x)
+            assert (preactivations(model, trace)[0][:, 0] == 0.0).all()
+            params, full = backward(model, trace, cot)
+            want = full if batched else full[0]
+            assert grad_input(model, trace, cot).tobytes() == want.tobytes()
+            got = grad_params(model, trace, cot)
+            assert len(got) == len(params)
+            for a, b in zip(got, params):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_batched_grads_accumulate_rows(self):
         rng = np.random.default_rng(16)
