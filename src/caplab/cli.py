@@ -35,7 +35,7 @@ from .errors import CapLabError, ConfigError, NumericsError
 from .nn import MlpModel, load_model, save_model
 from .polytope import find_corners, mean_diameter
 from .svg import corner_scatter_svg
-from .train import train, report_to_dict, write_history_csv
+from .train import _check_fit, train, write_history_csv
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -51,9 +51,10 @@ def _log(out_dir: Path, message: str) -> None:
 def _out_dir(rc: RunConfig) -> Path:
     """The output directory, not yet created: commands create it only once
     their inputs have loaded, so a bad input leaves no directory behind."""
-    if not rc.out:
+    out = rc.section("run")["out"]
+    if not out:
         raise ConfigError("no output directory: pass --out or set run.out in the config")
-    return Path(rc.out)
+    return Path(out)
 
 
 def _load_config(args, path: str) -> RunConfig:
@@ -88,7 +89,7 @@ def _run_training(rc: RunConfig, out_dir: Path) -> tuple[MlpModel, Dataset, Data
     model, report = train(model, train_ds, cfg)
     _log(out_dir, f"train done: {time.perf_counter() - t0:.2f}s over {cfg.epochs} epochs")
     save_model(model, str(out_dir / "checkpoint.json"))
-    doc = report_to_dict(report)
+    doc = dataclasses.asdict(report)
     doc["checkpoint"] = "checkpoint.json"
     doc["dataset"] = _dataset_summary(train_ds, test_ds)
     _dump_json(doc, out_dir / "report.json")
@@ -137,16 +138,11 @@ def cmd_eval(args) -> int:
     suite = build_eval_suite(rc)
     model = load_model(args.checkpoint)
     _, test_ds = build_datasets(rc)
+    _check_fit(model, test_ds, f"--checkpoint {args.checkpoint}")
     out_dir.mkdir(parents=True, exist_ok=True)
     _log(out_dir, f"eval start: checkpoint={args.checkpoint} n={test_ds.n_samples}")
     results = _evaluate_suite(model, test_ds, suite)
-    doc = {
-        "results": results,
-        # slots for externally computed attacks so reports can be merged
-        "external": {"cw_linf": None, "autoattack": None},
-        "seed": rc.seed,
-    }
-    _dump_json(doc, out_dir / "eval.json")
+    _dump_json({"results": results, "seed": rc.seed}, out_dir / "eval.json")
     for r in results:
         print(f"{r['attack']:>8}: accuracy {r['accuracy']:.4f} (n={r['n_samples']})")
     _log(out_dir, "eval done")
@@ -159,11 +155,15 @@ def cmd_corners(args) -> int:
     model = load_model(args.checkpoint)
 
     if args.sample_file:
-        ds = load_csv(args.sample_file)
-        features = ds.features
+        features = load_csv(args.sample_file).features
     else:
         train_ds, test_ds = build_datasets(rc)
         features = (test_ds if args.split == "test" else train_ds).features
+    if features.shape[1] != model.input_dim:
+        raise ConfigError(
+            f"--checkpoint {args.checkpoint}: model takes {model.input_dim} features, "
+            f"{args.sample_file or rc.path} has {features.shape[1]}"
+        )
     if not 0 <= args.sample_index < features.shape[0]:
         raise ConfigError(
             f"sample index {args.sample_index} outside dataset of {features.shape[0]} samples"
@@ -172,6 +172,8 @@ def cmd_corners(args) -> int:
 
     cfg = build_corner_config(rc)
     if args.corner_seed is not None:
+        if args.corner_seed < 0:
+            raise ConfigError(f"--corner-seed: must be >= 0, got {args.corner_seed}")
         cfg = dataclasses.replace(cfg, seed=args.corner_seed)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -270,7 +270,6 @@ class RunConfig:
 
     path: str
     seed: int
-    out: Optional[str]
     values: dict[str, dict[str, object]] = field(default_factory=dict)
 
     def section(self, name: str) -> dict[str, object]:
@@ -334,7 +333,7 @@ def load_run_config(
     if scaled and not parser.has_option("polytope", "input_clip"):
         poly["input_clip"] = (0.0, 1.0)
 
-    return RunConfig(path=path, seed=values["run"]["seed"], out=values["run"]["out"], values=values)
+    return RunConfig(path=path, seed=values["run"]["seed"], values=values)
 
 
 def build_datasets(rc: RunConfig) -> tuple[Dataset, Dataset]:

@@ -44,14 +44,11 @@ class PerturbationBudget:
     domain box so that x + e stays inside [lo, hi]."""
 
     epsilon: float
-    norm_kind: str = "linf"
     input_clip: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.norm_kind != "linf":
-            raise ValueError(f"unsupported norm_kind {self.norm_kind!r} (only 'linf')")
         if self.input_clip is not None:
             lo, hi = self.input_clip
             if not lo < hi:
@@ -60,12 +57,10 @@ class PerturbationBudget:
 
 @dataclass
 class ParticleSet:
-    """N perturbation vectors for one clean sample, plus their budget and the
-    seed they were created from."""
+    """N perturbation vectors for one clean sample, plus their budget."""
 
     particles: np.ndarray
     budget: PerturbationBudget
-    rng_seed: int
 
     def __post_init__(self) -> None:
         self.particles = np.asarray(self.particles, dtype=np.float64)
@@ -141,7 +136,7 @@ def init_particles(
     if dim < 1:
         raise ValueError("dim must be >= 1")
     particles = _uniform_particles([seed], n_particles, dim, budget.epsilon)[0]
-    return ParticleSet(particles=particles, budget=budget, rng_seed=int(seed))
+    return ParticleSet(particles=particles, budget=budget)
 
 
 def _uniform_particles(seeds, n_particles: int, dim: int, epsilon: float) -> np.ndarray:
@@ -331,7 +326,7 @@ def find_corners(
         raise ShapeError(f"x must be a single (d,) sample, got {x.shape}")
     P, L, centers, history, _ = corner_search_batch(model, x[None, :], [cfg.seed], cfg)
     logits, center = L[0], centers[0]
-    particles = ParticleSet(particles=P[0], budget=cfg.budget, rng_seed=int(cfg.seed))
+    particles = ParticleSet(particles=P[0], budget=cfg.budget)
     dists = np.sqrt(((logits - center[None, :]) ** 2).sum(axis=1))
     est = PolytopeEstimate(
         corners=logits,

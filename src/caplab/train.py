@@ -181,6 +181,16 @@ def _probe_mean_diameter(model: MlpModel, probe: np.ndarray, cfg: TrainConfig, e
     return float(np.mean([max_pairwise_distance(L[i]) for i in range(L.shape[0])]))
 
 
+def _check_fit(model: MlpModel, dataset: Dataset, name: str = "model") -> None:
+    """Raise ShapeError, naming the model ``name``, unless it takes the
+    dataset's feature width and has an output for each of its classes."""
+    if dataset.dim != model.input_dim or dataset.class_count > model.output_dim:
+        raise ShapeError(
+            f"{name} [{model.input_dim}->{model.output_dim}] does not fit dataset "
+            f"[d={dataset.dim}, c={dataset.class_count}]"
+        )
+
+
 def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainReport]:
     """Run the configured trainer; the model is updated in place.
 
@@ -191,11 +201,7 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> tuple[MlpModel
     """
     if dataset.n_samples < 1:
         raise ValueError("dataset is empty")
-    if dataset.dim != model.input_dim or dataset.class_count > model.output_dim:
-        raise ShapeError(
-            f"model [{model.input_dim}->{model.output_dim}] does not fit dataset "
-            f"[d={dataset.dim}, c={dataset.class_count}]"
-        )
+    _check_fit(model, dataset)
     state = init_optimizer(model, cfg)
     params = model.parameters()
     report = TrainReport(config=cfg)
@@ -249,12 +255,6 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> tuple[MlpModel
         )
 
     return model, report
-
-
-def report_to_dict(report: TrainReport) -> dict:
-    """JSON-ready view of a report. It holds no timing, so persisted reports
-    are byte-identical across reruns; wall-clock lives in the run log."""
-    return {**dataclasses.asdict(report), "seed": report.config.seed}
 
 
 def write_history_csv(report: TrainReport, path: str) -> None:

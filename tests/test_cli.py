@@ -164,7 +164,6 @@ class TestEvalCommand:
             by_name = {r["attack"]: r for r in doc["results"]}
             assert by_name["pgd-5"]["epsilon"] == 0.0
             assert by_name["pgd-5"]["accuracy"] == by_name["clean"]["accuracy"]
-            assert doc["external"] == {"cw_linf": None, "autoattack": None}
 
     def test_repeat_eval_identical_json(self, tmp_path):
         cfg = write_mini(tmp_path, epochs=2)
@@ -226,10 +225,11 @@ class TestEvalCommand:
             (_drop_second_bias, "layers[1].bias"),
             (lambda doc: [doc], "JSON object"),
             (_nan_second_weight, "layers[1].weights"),
-            (lambda doc: model_to_dict(init_mlp(0, [2, 16, 2])), "model with 2 outputs"),
+            (lambda doc: model_to_dict(init_mlp(0, [2, 16, 2])), "--checkpoint {bad} [2->2] does not fit"),
+            (lambda doc: model_to_dict(init_mlp(0, [3, 16, 3])), "--checkpoint {bad} [3->3] does not fit"),
         ],
         ids=["no-layers", "layers-not-a-list", "no-bias", "top-level-list", "nan-weight",
-             "fewer-outputs-than-classes"],
+             "fewer-outputs-than-classes", "wider-input-than-data"],
     )
     def test_malformed_checkpoint_exits_2_naming_field(self, tmp_path, capsys, mangle, field):
         cfg = write_mini(tmp_path)
@@ -239,8 +239,9 @@ class TestEvalCommand:
         code = main(["eval", "--config", cfg, "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
-        assert field in err
+        assert field.format(bad=bad) in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCornersCommand:
@@ -488,6 +489,33 @@ class TestCompareCommand:
         assert "b.ini" in doc["failed"]
 
 
+def test_output_keys_are_pinned(tmp_path):
+    # a field that appears in or vanishes from an output file changes this test
+    cfg = write_mini(tmp_path, epochs=1)
+    out = tmp_path / "run"
+    ckpt = str(out / "checkpoint.json")
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["eval", "--config", cfg, "--checkpoint", ckpt, "--out", str(out)]) == 0
+    assert main(["corners", "--config", cfg, "--checkpoint", ckpt, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"checkpoint", "config", "dataset", "records"}
+    assert set(report["config"]) == {
+        "attack", "baseline_kind", "batch_size", "epochs", "lam", "lr", "lr_drops",
+        "momentum", "polytope", "probe_size", "seed", "weight_decay",
+    }
+    assert set(report["config"]["polytope"]) == {"budget", "eta", "n_particles", "seed", "steps"}
+    assert set(report["config"]["polytope"]["budget"]) == {"epsilon", "input_clip"}
+    ev = json.loads((out / "eval.json").read_text())
+    assert set(ev) == {"results", "seed"}
+    for result in ev["results"]:
+        assert set(result) == {"accuracy", "attack", "epsilon", "n_samples", "seed", "steps"}
+    est = json.loads((out / "estimate.json").read_text())
+    assert set(est) == {
+        "center", "corners", "diameter", "distances", "objective_history", "sample_index", "search",
+    }
+    assert set(est["search"]) == {"epsilon", "eta", "input_clip", "n_particles", "seed", "steps"}
+
+
 @pytest.mark.parametrize(
     "command, flags, key",
     [
@@ -496,19 +524,25 @@ class TestCompareCommand:
         ("eval", ["--attack", "fgsm", "--alpha", "0"], "eval.alpha"),
         ("corners", ["--particles", "0"], "polytope.particles"),
         ("corners", ["--eta", "-1"], "polytope.eta"),
+        ("corners", ["--corner-seed", "-1"], "--corner-seed"),
+        # a 3-input checkpoint for the config's 2-D data; 3-D samples for a 2-input one
+        ("corners", ["--checkpoint", "{tmp}/wide.json"], "--checkpoint {tmp}/wide.json"),
+        ("corners", ["--sample-file", "{tmp}/three.csv"], "{tmp}/three.csv has 3"),
     ],
 )
 def test_flag_is_checked_like_its_config_key(tmp_path, capsys, command, flags, key):
     cfg = write_mini(tmp_path)
-    ckpt = tmp_path / "model.json"
-    ckpt.write_text(json.dumps(model_to_dict(init_mlp(0, [2, 16, 3]))))
+    for name, dims in (("model", [2, 16, 3]), ("wide", [3, 16, 3])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(model_to_dict(init_mlp(0, dims))))
+    (tmp_path / "three.csv").write_text("0.1,0.2,0.3,0\n")
     out = tmp_path / "out"
-    argv = [command, "--config", cfg, "--out", str(out), *flags]
+    argv = [command, "--config", cfg, "--out", str(out)]
     if command != "train":
-        argv += ["--checkpoint", str(ckpt)]
+        argv += ["--checkpoint", str(tmp_path / "model.json")]  # a later --checkpoint wins
+    argv += [flag.format(tmp=tmp_path) for flag in flags]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert key in err
+    assert key.format(tmp=tmp_path) in err
     assert "Traceback" not in err
     assert not out.exists()  # rejected before any work starts
 

@@ -51,7 +51,7 @@ def write(tmp_path, text, name="cfg.ini"):
 class TestStrictParsing:
     def test_minimal_config_loads_with_defaults(self, tmp_path):
         rc = load_run_config(write(tmp_path, BASE))
-        assert rc.seed == 0 and rc.out is None
+        assert rc.seed == 0 and rc.section("run")["out"] is None
         poly = rc.section("polytope")
         assert poly["particles"] == 10
         assert poly["steps"] == 40
