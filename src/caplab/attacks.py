@@ -17,6 +17,7 @@ from .data import Dataset
 from .errors import NumericsError, ShapeError
 from .nn import MlpModel, forward, grad_input, softmax
 from .polytope import PerturbationBudget, _feasible_box, _uniform_particles
+from .seeding import COUNTER_ZERO
 
 ATTACK_KINDS = ("fgsm", "pgd")
 
@@ -118,7 +119,7 @@ def pgd(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
         raise ValueError(f"pgd called with kind {cfg.kind!r}")
     xb, labels, squeeze = _as_batch(model, x, y)
     if cfg.random_start:
-        delta = _uniform_particles([cfg.seed], *xb.shape, cfg.epsilon)[0]
+        delta = _uniform_particles(cfg.seed, COUNTER_ZERO, *xb.shape, cfg.epsilon)[0]
     else:
         delta = np.zeros_like(xb)
     adv = _signed_ascent(model, xb, labels, delta, cfg.step_size, cfg.steps, cfg.budget())

@@ -16,10 +16,10 @@ ascending index order, so it does not depend on how numpy would otherwise
 pair up a sum. The feasible box depends only on x and the budget, so a
 search builds it once and each step is a single clamp to it.
 
-Sample b's particles are the stream of ``np.random.Philox(seed_b)``, with
-seed_b a ``derive_seed`` value. The seeds, the Philox keys and the draws of
-a batch are made together (see ``seeding``), bit-identical to making them
-one sample at a time.
+Sample b's particles are the Philox stream at counter row b under the key
+of ``cfg.seed`` (see ``seeding``), so a sample draws the same particles
+alone or in any batch. find_corners draws at counter 0, which is the stream
+of ``np.random.Philox(cfg.seed)``.
 
 The returned particles are representatives of corner regions, not certified
 vertices of the true set.
@@ -27,15 +27,16 @@ vertices of the true set.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import NumericsError, ShapeError
 from .nn import MlpModel, ForwardTrace, forward, grad_input
-from .seeding import derive_seeds, philox_keys
+from .seeding import COUNTER_ZERO, stream_counters
 
 
 @dataclass(frozen=True)
@@ -128,44 +129,44 @@ def init_particles(
 
     The stream is ``np.random.Philox(seed)``, a counter-based generator, so
     the same seed reproduces the same set bit-for-bit regardless of what was
-    drawn elsewhere. This is the batch-of-one case of the draw that
-    corner_search_batch makes for a whole batch.
+    drawn elsewhere. This is find_corners' draw: counter 0 of the seed's key.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    particles = _uniform_particles([seed], n_particles, dim, budget.epsilon)[0]
-    return ParticleSet(particles=particles, budget=budget)
+    particles = _uniform_particles(seed, COUNTER_ZERO, n_particles, dim, budget.epsilon)
+    return ParticleSet(particles=particles[0], budget=budget)
 
 
-def _uniform_particles(seeds, n_particles: int, dim: int, epsilon: float) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _philox_key(seed: int) -> np.ndarray:
+    """The (2,) uint64 key that ``np.random.Philox(seed)`` uses."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
+
+
+def _uniform_particles(
+    seed: int, counters: np.ndarray, n_particles: int, dim: int, epsilon: float
+) -> np.ndarray:
     """(B, N, d) particles with i.i.d. U(-epsilon, epsilon) coordinates;
-    sample b is drawn from ``np.random.Philox(seeds[b])``.
+    sample b is drawn from ``Philox(key=<key of seed>, counter=counters[b])``.
 
-    One sample gets a fresh generator (~20 us; the batched key hash costs
-    ~130 us). A larger batch shares one Philox: before each sample its state
-    is set to the one ``Philox(seed)`` starts in (the seed's key, counter 0,
-    empty buffer), so numpy draws exactly the stream a fresh generator would.
+    One generator serves the batch: it is built at the first sample's
+    counter, and before each later sample it is reset to the state it was
+    built in (empty buffer) with that sample's counter, exactly where a fresh
+    generator starts.
     """
-    out = np.empty((len(seeds), n_particles, dim), dtype=np.float64)
-    if len(seeds) == 1:
-        gen = np.random.Generator(np.random.Philox(seeds[0]))
-        out[0] = gen.uniform(-epsilon, epsilon, size=(n_particles, dim))
-    else:
-        zero = np.zeros(4, dtype=np.uint64)
-        # a fixed seed, so building it reads no OS entropy; its state is replaced below
-        gen = np.random.Generator(np.random.Philox(0))
-        for b, key in enumerate(philox_keys(seeds)):
-            gen.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": zero, "key": key},
-                "buffer": zero,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            out[b] = gen.uniform(-epsilon, epsilon, size=(n_particles, dim))
+    out = np.empty((len(counters), n_particles, dim), dtype=np.float64)
+    for b, counter in enumerate(counters):
+        if b == 0:
+            bitgen = np.random.Philox(key=_philox_key(operator.index(seed)), counter=counter)
+            gen, fresh = np.random.Generator(bitgen), bitgen.state
+        else:
+            fresh["state"]["counter"] = counter
+            bitgen.state = fresh
+        out[b] = gen.uniform(-epsilon, epsilon, size=(n_particles, dim))
     # uniform() can round onto the open endpoint; keep the closed-box invariant exact
     np.clip(out, -epsilon, epsilon, out=out)
     return out
@@ -244,18 +245,19 @@ def ascend_step(
 
 
 def corner_search_batch(
-    model: MlpModel, X: np.ndarray, seeds: Sequence[int], cfg: CornerConfig
+    model: MlpModel, X: np.ndarray, counters: np.ndarray, cfg: CornerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ForwardTrace]:
     """Vectorized corner search for B samples at once (the trainer's path).
 
-    ``seeds`` holds one seed per sample, as ints or a uint64 array; sample
-    b's particles start from ``np.random.Philox(seeds[b])``, drawn for the
-    whole batch at once. Semantics are sample-wise: particles of different
+    ``counters`` holds one (4,) Philox counter row per sample (see
+    ``seeding.stream_counters``); sample b's particles start from the stream
+    at ``counters[b]`` under the key of ``cfg.seed``, so they do not depend
+    on the other samples. Semantics are sample-wise: particles of different
     samples never interact, and each sample's center reduction runs in
     ascending particle order. All B*N ascent steps per iteration are fused
     into one batched forward/backward. BLAS may reassociate sums differently for different
     row counts, so a sample's bits can depend on which samples share its
-    batch (~1e-15 relative); find_corners always runs a batch of one.
+    batch (~1e-15 relative); find_corners and mean_diameter run batches of one.
 
     Returns (particles (B,N,d), corner logits (B,N,c), centers (B,c),
     objective history (B,T), trace of the final corner forward).
@@ -264,13 +266,14 @@ def corner_search_batch(
     if X.ndim != 2:
         raise ShapeError(f"X must be (B, d), got {X.shape}")
     B, d = X.shape
-    if len(seeds) != B:
-        raise ValueError("one seed per sample is required")
+    counters = np.asarray(counters, dtype=np.uint64)
+    if counters.shape != (B, 4):
+        raise ValueError(f"one (4,) counter row per sample is required, got {counters.shape}")
     N, T, eta, budget = cfg.n_particles, cfg.steps, cfg.eta, cfg.budget
 
     Xb = X[:, None, :]
     lower, upper = _feasible_box(budget, Xb)
-    P = _uniform_particles(seeds, N, d, budget.epsilon)
+    P = _uniform_particles(cfg.seed, counters, N, d, budget.epsilon)
     # Establish x + e feasibility up front; a pure epsilon-box budget is
     # already satisfied by construction, so this clamp is then a no-op.
     P = np.clip(P, lower, upper)
@@ -324,7 +327,7 @@ def find_corners(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"x must be a single (d,) sample, got {x.shape}")
-    P, L, centers, history, _ = corner_search_batch(model, x[None, :], [cfg.seed], cfg)
+    P, L, centers, history, _ = corner_search_batch(model, x[None, :], COUNTER_ZERO, cfg)
     logits, center = L[0], centers[0]
     particles = ParticleSet(particles=P[0], budget=cfg.budget)
     dists = np.sqrt(((logits - center[None, :]) ** 2).sum(axis=1))
@@ -341,16 +344,19 @@ def find_corners(
 def mean_diameter(model: MlpModel, X: np.ndarray, cfg: CornerConfig, threads: int = 1) -> float:
     """Mean polytope diameter over the rows of X (the compactness metric).
 
-    Row i runs find_corners(model, X[i], cfg) with seed
-    ``derive_seed(cfg.seed, i)``, so its diameter does not depend on the
-    other rows. ``threads`` has no effect; perfbench/worker.py still passes it.
+    Row i is a corner search on a batch of one at counter (0, i, 0, 0) under
+    ``cfg.seed``, so its diameter does not depend on the other rows; row 0
+    is find_corners(model, X[0], cfg). ``threads`` has no effect;
+    perfbench/worker.py still passes it.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be (n, d), got {X.shape}")
-    seeds = derive_seeds(cfg.seed, (), np.arange(X.shape[0]))
-    diameters = [
-        find_corners(model, x, dataclasses.replace(cfg, seed=int(s)))[1].diameter
-        for x, s in zip(X, seeds)
-    ]
+    if X.shape[0] == 0:
+        raise ValueError("mean_diameter needs at least one sample")
+    counters = stream_counters(np.arange(X.shape[0]), 0, 0)
+    diameters = []
+    for i in range(X.shape[0]):
+        _, L, _, _, _ = corner_search_batch(model, X[i : i + 1], counters[i : i + 1], cfg)
+        diameters.append(max_pairwise_distance(L[0]))
     return float(np.mean(diameters))

@@ -11,9 +11,10 @@ pass (two-phase scheme: locate corners, then pull them in). The regularizer
 is a sum over the N particles, not a mean. Batch loss is the mean over
 samples, so lambda keeps its per-sample scale at any batch size.
 
-Particles are re-initialized fresh every time a sample is visited, from a
-seed derived from (global seed, epoch, sample id); nothing here consumes a
-shared random stream, so runs are bit-reproducible.
+Particles are re-initialized fresh every time a sample is visited, from the
+Philox stream of the global seed's key at counter (0, sample id, epoch,
+STREAM_PARTICLES); the epoch probe uses (0, probe row, epoch, STREAM_PROBE).
+Nothing here consumes a shared random stream, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .seeding import (
     STREAM_PROBE,
     STREAM_SHUFFLE,
     derive_seed,
-    derive_seeds,
+    stream_counters,
 )
 
 BASELINE_KINDS = ("cap", "clean", "vanilla_at")
@@ -165,8 +166,9 @@ def _batch_gradients(
         return grads, float(ce_rows.sum()), 0.0
 
     B = X.shape[0]
-    seeds = derive_seeds(cfg.seed, (STREAM_PARTICLES, epoch), sample_ids)
-    _, L, centers, _, corner_trace = corner_search_batch(model, X, seeds, cfg.polytope)
+    counters = stream_counters(sample_ids, epoch, STREAM_PARTICLES)
+    search = dataclasses.replace(cfg.polytope, seed=cfg.seed)  # keyed by the run seed
+    _, L, centers, _, corner_trace = corner_search_batch(model, X, counters, search)
     resid = L - centers[:, None, :]
     reg_rows = (resid**2).sum(axis=(1, 2))
     cot = (2.0 * cfg.lam / B) * resid.reshape(-1, model.output_dim)
@@ -176,8 +178,9 @@ def _batch_gradients(
 
 
 def _probe_mean_diameter(model: MlpModel, probe: np.ndarray, cfg: TrainConfig, epoch: int) -> float:
-    seeds = derive_seeds(cfg.seed, (STREAM_PROBE, epoch), np.arange(probe.shape[0]))
-    _, L, _, _, _ = corner_search_batch(model, probe, seeds, cfg.polytope)
+    counters = stream_counters(np.arange(probe.shape[0]), epoch, STREAM_PROBE)
+    search = dataclasses.replace(cfg.polytope, seed=cfg.seed)
+    _, L, _, _, _ = corner_search_batch(model, probe, counters, search)
     return float(np.mean([max_pairwise_distance(L[i]) for i in range(L.shape[0])]))
 
 

@@ -80,7 +80,7 @@ def mean_ascending(values: np.ndarray, axis: int) -> np.ndarray:
     return acc / n
 
 
-def corner_search_reference(model: MlpModel, X: np.ndarray, seeds, cfg: CornerConfig):
+def corner_search_reference(model: MlpModel, X: np.ndarray, counters, cfg: CornerConfig):
     """corner_search_batch written the long way: ``project`` on every step,
     the looped center, and the residual formed twice per step (once for the
     history, once more as the next step's cotangent). Returns (particles,
@@ -89,7 +89,7 @@ def corner_search_reference(model: MlpModel, X: np.ndarray, seeds, cfg: CornerCo
     B, d = X.shape
     N, T, eta, budget = cfg.n_particles, cfg.steps, cfg.eta, cfg.budget
 
-    P = _uniform_particles(seeds, N, d, budget.epsilon)
+    P = _uniform_particles(cfg.seed, counters, N, d, budget.epsilon)
     Xb = X[:, None, :]
     P = project(P, budget, Xb)
 

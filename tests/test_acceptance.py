@@ -33,7 +33,8 @@ from caplab import (
 )
 from caplab.cli import main as cli_main
 from caplab.nn import softmax
-from caplab.seeding import derive_seed, derive_seeds
+from caplab.polytope import corner_search_batch, max_pairwise_distance
+from caplab.seeding import derive_seed, stream_counters
 from oracles import cross_entropy, one_hot, preactivations
 
 # The canonical three-blob benchmark (mirrors presets/blobs_*.ini): an
@@ -254,18 +255,20 @@ def test_criterion_3_feasibility_and_determinism():
         X = np.random.default_rng(run).standard_normal((8, 3))
         cfg = CornerConfig(4, 5, 0.05, PerturbationBudget(0.2), seed=run)
         diameters = []
-        for x, seed in zip(X, derive_seeds(cfg.seed, (), np.arange(len(X)))):
-            row_cfg = dataclasses.replace(cfg, seed=int(seed))
-            p1, e1 = find_corners(model, x, row_cfg)
-            p2, e2 = find_corners(model, x, row_cfg)
+        counters = stream_counters(np.arange(len(X)), 0, 0)
+        for i in range(len(X)):
+            # mean_diameter's row i: a search on that row alone at counter (0, i, 0, 0)
+            p1, l1, c1, _, _ = corner_search_batch(model, X[i : i + 1], counters[i : i + 1], cfg)
+            p2, l2, c2, _, _ = corner_search_batch(model, X[i : i + 1], counters[i : i + 1], cfg)
+            d1, d2 = max_pairwise_distance(l1[0]), max_pairwise_distance(l2[0])
             if not (
-                np.array_equal(p1.particles, p2.particles)
-                and np.array_equal(e1.corners, e2.corners)
-                and np.array_equal(e1.center, e2.center)
-                and e1.diameter == e2.diameter
+                np.array_equal(p1, p2)
+                and np.array_equal(l1, l2)
+                and np.array_equal(c1, c2)
+                and d1 == d2
             ):
                 mismatches += 1
-            diameters.append(e1.diameter)
+            diameters.append(d1)
         if mean_diameter(model, X, cfg) != pytest.approx(np.mean(diameters), abs=0):
             mismatches += 1
     ok = violations == 0 and mismatches == 0

@@ -1,7 +1,8 @@
 """What the benchmark harness in perfbench/ uses of the library.
 
 perfbench/ changes only together with the benchmark, so a library change
-that drops one of these names must fail here, not in the next
+that drops one of these names, or moves an argument or result slot that the
+tracer keeps, must fail here, not in the next
 ``perfbench/run.py --trace 1``. The check runs the way the harness does: in
 a fresh interpreter at the repository root, with perfbench/ and src/ on
 sys.path. It reads perfbench/ and writes nothing there.
@@ -34,6 +35,20 @@ cfg = caplab.config.build_corner_config(rc)
 X = test_ds.features[:4]
 with_threads = caplab.polytope.mean_diameter(model, X, cfg, threads=1)
 assert with_threads == caplab.polytope.mean_diameter(model, X, cfg)
+
+# the argument and result slots that the tracer keeps, as spans.Tracer passes them
+N, T, d = cfg.n_particles, cfg.steps, X.shape[1]
+args = (model, X, caplab.seeding.stream_counters(range(len(X)), 0, 0), cfg)
+batch = worker._keep_batch(args, caplab.polytope.corner_search_batch(*args))
+args = (model, X[0], cfg)
+single = worker._keep_single(args, caplab.polytope.find_corners(*args))
+for kept, B in ((batch, len(X)), (single, 1)):
+    x, budget, particles, history = kept
+    assert budget == cfg.budget
+    assert particles.shape[-2:] == (N, d) and particles.size == B * N * d
+    assert history.shape == (B, T)
+    assert (x + particles).shape[-1] == d
+worker.convergence([batch, single])
 print("ok")
 """
 

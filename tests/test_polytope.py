@@ -2,7 +2,6 @@
 dynamics against analytic and enumeration oracles, feasibility, determinism."""
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from caplab import (
     project,
 )
 from caplab.polytope import _mean_ascending, corner_search_batch, max_pairwise_distance
-from caplab.seeding import derive_seed, derive_seeds
+from caplab.seeding import stream_counters
 from oracles import corner_search_reference, empirical_center, mean_ascending
 
 
@@ -372,33 +371,37 @@ class TestFindCorners:
         rng = np.random.default_rng(35)
         X = rng.standard_normal((6, 3))
         cfg = CornerConfig(4, 5, 0.05, PerturbationBudget(0.15), seed=0)
-        seeds = [100 + i for i in range(6)]
-        P, L, centers, _, _ = corner_search_batch(model, X, seeds, cfg)
+        counters = stream_counters(np.arange(6), 0, 0)
+        P, L, centers, _, _ = corner_search_batch(model, X, counters, cfg)
         for i in range(6):
-            pset, est = find_corners(
-                model, X[i], CornerConfig(4, 5, 0.05, PerturbationBudget(0.15), seed=seeds[i])
-            )
-            assert np.allclose(P[i], pset.particles, rtol=0, atol=1e-12)
-            assert np.allclose(centers[i], est.center, rtol=0, atol=1e-12)
+            P1, _, c1, _, _ = corner_search_batch(model, X[i : i + 1], counters[i : i + 1], cfg)
+            assert np.allclose(P[i], P1[0], rtol=0, atol=1e-12)
+            assert np.allclose(centers[i], c1[0], rtol=0, atol=1e-12)
+        # counter 0 is find_corners' stream
+        pset, est = find_corners(model, X[0], cfg)
+        assert np.allclose(P[0], pset.particles, rtol=0, atol=1e-12)
+        assert np.allclose(centers[0], est.center, rtol=0, atol=1e-12)
 
 
 class TestCornerSearchReference:
     @pytest.mark.parametrize("clip", [None, (-1.0, 1.0)], ids=["eps-box", "input-clip"])
-    @pytest.mark.parametrize("B", [1, 16, 44, 128])
+    @pytest.mark.parametrize("B", [1, 16, 44, 128, 0])
     def test_equals_the_step_by_step_loop_bitwise(self, B, clip):
         model = init_mlp(36, [2, 32, 32, 3])
         rng = np.random.default_rng(37)
         # rows spread up to the domain edges, the first within eps of two of
         # them, so the clip cuts into the eps-box at every B
         X = rng.uniform(-1.0, 1.0, size=(B, 2))
-        X[0] = [0.85, -0.9]
+        X[:1] = [0.85, -0.9]
         cfg = CornerConfig(10, 10, 0.05, PerturbationBudget(0.3, input_clip=clip), seed=5)
-        seeds = derive_seeds(cfg.seed, (), np.arange(B))
-        P, L, centers, history, _ = corner_search_batch(model, X, seeds, cfg)
-        want = corner_search_reference(model, X, seeds, cfg)
+        counters = stream_counters(np.arange(B), 0, 0)
+        P, L, centers, history, _ = corner_search_batch(model, X, counters, cfg)
+        want = corner_search_reference(model, X, counters, cfg)
         for got, ref in zip((P, L, centers, history), want):
+            assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
-        if clip is not None:
+        assert P.shape == (B, 10, 2) and history.shape == (B, 10)
+        if clip is not None and B:
             assert np.any(np.abs(X[:, None, :] + P) == 1.0)
 
     def test_sample_outside_input_clip_raises_before_any_forward(self, monkeypatch):
@@ -412,7 +415,8 @@ class TestCornerSearchReference:
         with pytest.raises(ValueError, match="outside the input_clip domain"):
             find_corners(model, x, cfg)
         with pytest.raises(ValueError, match="outside the input_clip domain"):
-            corner_search_batch(model, np.array([[0.5, 0.5], x]), [1, 2], cfg)
+            X = np.array([[0.5, 0.5], x])
+            corner_search_batch(model, X, stream_counters([1, 2], 0, 0), cfg)
 
 
 class TestDiameter:
@@ -440,20 +444,23 @@ class TestDiameter:
 
 
 class TestManySamples:
+    @staticmethod
+    def row_diameter(model, x, counter, cfg):
+        _, L, _, _, _ = corner_search_batch(model, x[None, :], counter[None, :], cfg)
+        return max_pairwise_distance(L[0])
+
     def test_rows_do_not_depend_on_batch_composition(self):
-        # row j of mean_diameter is find_corners on that row alone, seeded
-        # derive_seed(cfg.seed, j), whichever other rows share the call
+        # row j of mean_diameter is a search on that row alone at counter
+        # (0, j, 0, 0), whichever other rows share the call
         model = init_mlp(17, [3, 8, 3])
         rng = np.random.default_rng(32)
         X = rng.standard_normal((7, 3))
         cfg = CornerConfig(4, 6, 0.05, PerturbationBudget(0.15), seed=9)
+        counters = stream_counters(np.arange(7), 0, 0)
         for rows in (range(7), rng.permutation(7), [5, 2], [3]):
             rows = [int(i) for i in rows]
             want = np.mean(
-                [
-                    find_corners(model, X[i], replace(cfg, seed=derive_seed(cfg.seed, j)))[1].diameter
-                    for j, i in enumerate(rows)
-                ]
+                [self.row_diameter(model, X[i], counters[j], cfg) for j, i in enumerate(rows)]
             )
             assert mean_diameter(model, X[rows], cfg) == pytest.approx(want, abs=0)
 
@@ -462,7 +469,14 @@ class TestManySamples:
         rng = np.random.default_rng(31)
         X = rng.standard_normal((5, 2))
         cfg = CornerConfig(3, 4, 0.05, PerturbationBudget(0.1), seed=9)
-        want = np.mean(
-            [find_corners(model, x, replace(cfg, seed=derive_seed(cfg.seed, i)))[1].diameter for i, x in enumerate(X)]
-        )
-        assert mean_diameter(model, X, cfg) == pytest.approx(want, abs=0)
+        counters = stream_counters(np.arange(5), 0, 0)
+        diameters = [self.row_diameter(model, x, c, cfg) for x, c in zip(X, counters)]
+        # row 0 is find_corners on that row
+        assert diameters[0] == find_corners(model, X[0], cfg)[1].diameter
+        assert mean_diameter(model, X, cfg) == pytest.approx(np.mean(diameters), abs=0)
+
+    def test_mean_diameter_of_no_rows_is_value_error(self):
+        model = init_mlp(16, [2, 6, 2])
+        cfg = CornerConfig(3, 4, 0.05, PerturbationBudget(0.1), seed=9)
+        with pytest.raises(ValueError, match="at least one sample"):
+            mean_diameter(model, np.empty((0, 2)), cfg)

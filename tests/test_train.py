@@ -26,7 +26,8 @@ from caplab import (
     train,
 )
 from caplab.nn import cross_entropy_rows
-from caplab.seeding import STREAM_PARTICLES, derive_seed
+from caplab.polytope import corner_search_batch
+from caplab.seeding import STREAM_PARTICLES, stream_counters
 from caplab.train import _batch_gradients
 from oracles import cross_entropy, label_index, one_hot
 
@@ -202,12 +203,14 @@ class TestCapLoss:
         grads, ce_sum, reg_sum = _batch_gradients(model, ds.features, ds.labels, ids, cfg, 1, 0)
         total = 0.0
         want = [np.zeros_like(p) for p in model.parameters()]
+        # the trainer keys its streams from the run seed, not the polytope's
+        search = dataclasses.replace(cfg.polytope, seed=cfg.seed)
         for i in ids:
-            seed = derive_seed(cfg.seed, STREAM_PARTICLES, 1, int(i))
-            corners, est = find_corners(
-                model, ds.features[i], dataclasses.replace(cfg.polytope, seed=seed)
+            P, _, centers, _, _ = corner_search_batch(
+                model, ds.features[i : i + 1], stream_counters([i], 1, STREAM_PARTICLES), search
             )
-            loss, g = cap_loss(model, ds.features[i], ds.labels[i], corners, est.center, cfg.lam)
+            corners = ParticleSet(P[0], search.budget)
+            loss, g = cap_loss(model, ds.features[i], ds.labels[i], corners, centers[0], cfg.lam)
             total += loss
             want = [w + gi / len(ids) for w, gi in zip(want, g)]
         assert reg_sum > 0
