@@ -47,7 +47,7 @@ for kind in ("clean", "vanilla_at", "cap"):
         batch_size=128,
         attack=AttackConfig("pgd", EPS, 0.025, 10, random_start=True) if kind == "vanilla_at" else None,
     )
-    model, report = train(model, train_ds, cfg)
+    train(model, train_ds, cfg)
 
     acc = clean_accuracy(model, test_ds)
     fgsm_acc = robust_accuracy(model, test_ds, AttackConfig("fgsm", EPS))

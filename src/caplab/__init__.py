@@ -32,15 +32,7 @@ from .polytope import (
     mean_diameter,
     project,
 )
-from .train import (
-    EpochRecord,
-    OptimizerState,
-    TrainConfig,
-    TrainReport,
-    init_optimizer,
-    sgd_step,
-    train,
-)
+from .train import EpochRecord, TrainConfig, sgd_step, train
 
 __version__ = "0.1.0"
 
@@ -56,13 +48,11 @@ __all__ = [
     "Layer",
     "MlpModel",
     "NumericsError",
-    "OptimizerState",
     "ParticleSet",
     "PerturbationBudget",
     "PolytopeEstimate",
     "ShapeError",
     "TrainConfig",
-    "TrainReport",
     "ascend_step",
     "attack",
     "clean_accuracy",
@@ -74,7 +64,6 @@ __all__ = [
     "grad_input",
     "grad_params",
     "init_mlp",
-    "init_optimizer",
     "init_particles",
     "load_csv",
     "load_model",

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 user/config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import datetime
 import json
@@ -35,7 +36,7 @@ from .errors import CapLabError, ConfigError, NumericsError
 from .nn import MlpModel, load_model, save_model
 from .polytope import find_corners, mean_diameter
 from .svg import corner_scatter_svg
-from .train import _check_fit, train, write_history_csv
+from .train import EpochRecord, _check_fit, train
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -70,6 +71,18 @@ def _load_config(args, path: str) -> RunConfig:
     return load_run_config(path, overrides)
 
 
+def _write_history_csv(records: list[EpochRecord], path: Path) -> None:
+    """Per-epoch history as CSV, one column per ``EpochRecord`` field in
+    field order. Floats use shortest round-trip repr; None is an empty cell."""
+    names = [f.name for f in dataclasses.fields(EpochRecord)]
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(names)
+        for r in records:
+            values = (getattr(r, name) for name in names)
+            w.writerow(repr(float(v)) if isinstance(v, float) else v for v in values)
+
+
 def _dataset_summary(train_ds: Dataset, test_ds: Dataset) -> dict:
     return {
         "n_train": train_ds.n_samples,
@@ -86,14 +99,17 @@ def _run_training(rc: RunConfig, out_dir: Path) -> tuple[MlpModel, Dataset, Data
     out_dir.mkdir(parents=True, exist_ok=True)
     _log(out_dir, f"train start: config={rc.path} seed={rc.seed} kind={cfg.baseline_kind}")
     t0 = time.perf_counter()
-    model, report = train(model, train_ds, cfg)
+    records = train(model, train_ds, cfg)
     _log(out_dir, f"train done: {time.perf_counter() - t0:.2f}s over {cfg.epochs} epochs")
     save_model(model, str(out_dir / "checkpoint.json"))
-    doc = dataclasses.asdict(report)
-    doc["checkpoint"] = "checkpoint.json"
-    doc["dataset"] = _dataset_summary(train_ds, test_ds)
+    doc = {
+        "config": dataclasses.asdict(cfg),
+        "records": [dataclasses.asdict(r) for r in records],
+        "checkpoint": "checkpoint.json",
+        "dataset": _dataset_summary(train_ds, test_ds),
+    }
     _dump_json(doc, out_dir / "report.json")
-    write_history_csv(report, str(out_dir / "history.csv"))
+    _write_history_csv(records, out_dir / "history.csv")
     return model, train_ds, test_ds
 
 

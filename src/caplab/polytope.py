@@ -266,7 +266,13 @@ def corner_search_batch(
     if X.ndim != 2:
         raise ShapeError(f"X must be (B, d), got {X.shape}")
     B, d = X.shape
-    counters = np.asarray(counters, dtype=np.uint64)
+    counters = np.asarray(counters)
+    # only a signed dtype can hold a negative entry, which uint64 would wrap
+    if counters.dtype.kind not in "iu" or (
+        counters.dtype.kind == "i" and counters.size and counters.min() < 0
+    ):
+        raise ValueError(f"counter rows must be non-negative integers, got {counters.dtype}")
+    counters = counters.astype(np.uint64, copy=False)
     if counters.shape != (B, 4):
         raise ValueError(f"one (4,) counter row per sample is required, got {counters.shape}")
     N, T, eta, budget = cfg.n_particles, cfg.steps, cfg.eta, cfg.budget

@@ -15,13 +15,15 @@ Particles are re-initialized fresh every time a sample is visited, from the
 Philox stream of the global seed's key at counter (0, sample id, epoch,
 STREAM_PARTICLES); the epoch probe uses (0, probe row, epoch, STREAM_PROBE).
 Nothing here consumes a shared random stream, so runs are bit-reproducible.
+
+``train`` returns one ``EpochRecord`` per epoch and writes no file; the CLI
+writes the run files.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,21 +75,15 @@ class TrainConfig:
             raise ValueError("momentum and weight_decay must be >= 0")
         if self.probe_size < 0:
             raise ValueError("probe_size must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         epochs_seen = [e for e, _ in self.lr_drops]
-        if epochs_seen != sorted(set(epochs_seen)):
-            raise ValueError("lr_drops epochs must be strictly increasing")
+        if epochs_seen != sorted(set(epochs_seen)) or any(e < 1 for e in epochs_seen):
+            raise ValueError("lr_drops epochs must be positive and strictly increasing")
         if any(div <= 0 for _, div in self.lr_drops):
             raise ValueError("lr_drops divisors must be > 0")
         if self.baseline_kind == "vanilla_at" and self.attack is None:
             raise ValueError("vanilla_at requires an attack config")
-
-
-@dataclass
-class OptimizerState:
-    """Per-parameter momentum buffers plus the current learning rate."""
-
-    velocities: list[np.ndarray]
-    lr: float
 
 
 @dataclass
@@ -100,36 +96,27 @@ class EpochRecord:
     lr: float
 
 
-@dataclass
-class TrainReport:
-    config: TrainConfig
-    records: list[EpochRecord] = field(default_factory=list)
-
-
-def init_optimizer(model: MlpModel, cfg: TrainConfig) -> OptimizerState:
-    return OptimizerState(velocities=[np.zeros_like(p) for p in model.parameters()], lr=cfg.lr)
-
-
 def sgd_step(
     params: list[np.ndarray],
     grads: list[np.ndarray],
-    state: OptimizerState,
+    velocities: list[np.ndarray],
+    lr: float,
     cfg: TrainConfig,
-) -> tuple[list[np.ndarray], OptimizerState]:
-    """Classical SGD with momentum and coupled weight decay, in place:
+) -> None:
+    """Classical SGD with momentum and coupled weight decay; updates
+    ``params`` and their momentum buffers ``velocities`` in place:
 
         v <- momentum * v + (grad + weight_decay * param)
         param <- param - lr * v
     """
-    if len(params) != len(grads) or len(params) != len(state.velocities):
+    if len(params) != len(grads) or len(params) != len(velocities):
         raise ShapeError("params, grads and momentum buffers must align")
-    for p, g, v in zip(params, grads, state.velocities):
+    for p, g, v in zip(params, grads, velocities):
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
         v *= cfg.momentum
         v += g + cfg.weight_decay * p
-        p -= state.lr * v
-    return params, state
+        p -= lr * v
 
 
 def _ce_gradients(
@@ -194,26 +181,28 @@ def _check_fit(model: MlpModel, dataset: Dataset, name: str = "model") -> None:
         )
 
 
-def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> tuple[MlpModel, TrainReport]:
-    """Run the configured trainer; the model is updated in place.
+def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> list[EpochRecord]:
+    """Run the configured trainer on ``model`` in place; returns one record
+    per epoch.
 
     Per epoch: seeded shuffle, minibatch gradient steps (mean loss over the
     batch), then the epoch metrics. Learning-rate drops apply at the start
-    of their 1-based epoch. With epochs = 0 the model is returned unchanged
-    and the report is empty.
+    of their 1-based epoch. With epochs = 0 the model is left unchanged and
+    no record is returned.
     """
     if dataset.n_samples < 1:
         raise ValueError("dataset is empty")
     _check_fit(model, dataset)
-    state = init_optimizer(model, cfg)
     params = model.parameters()
-    report = TrainReport(config=cfg)
+    velocities = [np.zeros_like(p) for p in params]
+    lr = cfg.lr
+    records = []
     probe = dataset.features[: cfg.probe_size] if cfg.probe_size > 0 else None
 
     for epoch in range(1, cfg.epochs + 1):
         for drop_epoch, divisor in cfg.lr_drops:
             if drop_epoch == epoch:
-                state.lr /= divisor
+                lr /= divisor
         perm = np.random.default_rng(derive_seed(cfg.seed, STREAM_SHUFFLE, epoch)).permutation(
             dataset.n_samples
         )
@@ -240,11 +229,11 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> tuple[MlpModel
                 raise NumericsError(
                     f"non-finite loss at epoch {epoch}, batch {b // cfg.batch_size}"
                 )
-            sgd_step(params, grads, state, cfg)
+            sgd_step(params, grads, velocities, lr, cfg)
             ce_sum += ce_part
             reg_sum += reg_part
 
-        report.records.append(
+        records.append(
             EpochRecord(
                 epoch=epoch,
                 clean_acc=clean_accuracy(model, dataset),
@@ -253,20 +242,8 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> tuple[MlpModel
                 mean_diameter=(
                     _probe_mean_diameter(model, probe, cfg, epoch) if probe is not None else None
                 ),
-                lr=state.lr,
+                lr=lr,
             )
         )
 
-    return model, report
-
-
-def write_history_csv(report: TrainReport, path: str) -> None:
-    """Per-epoch history as CSV, one column per ``EpochRecord`` field in
-    field order. Floats use shortest round-trip repr; None is an empty cell."""
-    names = [f.name for f in dataclasses.fields(EpochRecord)]
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(names)
-        for r in report.records:
-            values = (getattr(r, name) for name in names)
-            w.writerow(repr(float(v)) if isinstance(v, float) else v for v in values)
+    return records

@@ -85,7 +85,7 @@ def benchmark_config(kind, seed, lam=0.6):
 def train_benchmark(kind, seed):
     train_ds, test_ds = benchmark_data(seed)
     model = init_mlp(derive_seed(seed, 3), DIMS)
-    model, _ = train(model, train_ds, benchmark_config(kind, seed))
+    train(model, train_ds, benchmark_config(kind, seed))
     return model, test_ds
 
 

@@ -1,9 +1,9 @@
 """What the benchmark harness in perfbench/ uses of the library.
 
 perfbench/ changes only together with the benchmark, so a library change
-that drops one of these names, or moves an argument or result slot that the
-tracer keeps, must fail here, not in the next
-``perfbench/run.py --trace 1``. The check runs the way the harness does: in
+that drops one of these names, moves an argument or result slot that the
+tracer keeps, or hides the trainer's per-epoch ``clean_accuracy`` call from
+the epoch clock, must fail here, not in the next ``perfbench/run.py``. The check runs the way the harness does: in
 a fresh interpreter at the repository root, with perfbench/ and src/ on
 sys.path. It reads perfbench/ and writes nothing there.
 """
@@ -16,6 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 CHECK = """
+import dataclasses
 import sys
 
 import worker
@@ -49,6 +50,14 @@ for kept, B in ((batch, len(X)), (single, 1)):
     assert history.shape == (B, T)
     assert (x + particles).shape[-1] == d
 worker.convergence([batch, single])
+
+# step_ms on the trainers: the clock marks the clean_accuracy call that the
+# loop makes once per epoch through caplab.train's module global
+train_module = sys.modules["caplab.train"]
+train_cfg = dataclasses.replace(caplab.config.build_train_config(rc), epochs=2)
+with worker.EpochClock(train_module) as clock:
+    train_module.train(model, train_ds, train_cfg)
+assert len(clock.marks) == 2, clock.marks
 print("ok")
 """
 

@@ -81,8 +81,8 @@ class TestMoons:
             weight_decay=0.0,
             batch_size=16,
         )
-        _, report = train(model, ds, cfg)
-        assert max(r.clean_acc for r in report.records) == 1.0
+        records = train(model, ds, cfg)
+        assert max(r.clean_acc for r in records) == 1.0
 
 
 class TestCsv:

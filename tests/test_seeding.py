@@ -6,7 +6,15 @@ import itertools
 import numpy as np
 import pytest
 
-from caplab.polytope import PerturbationBudget, _philox_key, _uniform_particles, init_particles
+from caplab.nn import init_mlp
+from caplab.polytope import (
+    CornerConfig,
+    PerturbationBudget,
+    _philox_key,
+    _uniform_particles,
+    corner_search_batch,
+    init_particles,
+)
 from caplab.seeding import COUNTER_ZERO, derive_seed, stream_counters
 
 BASES = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
@@ -81,6 +89,11 @@ def test_distinct_streams_draw_distinct_particles():
     assert not np.array_equal(draws[5], _uniform_particles(3, rows[5], 4, 2, 0.5)[0])
 
 
+def search_one(counters):
+    cfg = CornerConfig(3, 1, 0.02, PerturbationBudget(0.1), seed=1)
+    return corner_search_batch(init_mlp(0, [2, 3, 2]), np.zeros((1, 2)), counters, cfg)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -92,6 +105,11 @@ def test_distinct_streams_draw_distinct_particles():
         lambda: stream_counters([1.5], 1, 5),
         lambda: init_particles(-1, 3, 2, PerturbationBudget(0.1)),
         lambda: _uniform_particles(-1, COUNTER_ZERO, 3, 2, 0.1),
+        # counter rows built by hand: a signed -1 would wrap to 2**64 - 1
+        # and a float 1.7 truncate to 1 on the way to uint64
+        lambda: search_one(np.array([[0, -1, 0, 0]])),
+        lambda: search_one(np.array([[0, 1.7, 0, 0]])),
+        lambda: search_one([[0, -1, 0, 0]]),
     ],
 )
 def test_negative_seed_or_id_is_value_error(call):

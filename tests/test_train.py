@@ -10,7 +10,6 @@ from caplab import (
     AttackConfig,
     CornerConfig,
     MlpModel,
-    OptimizerState,
     ParticleSet,
     PerturbationBudget,
     ShapeError,
@@ -20,7 +19,6 @@ from caplab import (
     gen_blobs,
     grad_params,
     init_mlp,
-    init_optimizer,
     sgd_step,
     softmax,
     train,
@@ -101,8 +99,7 @@ class TestSgdStep:
         cfg = clean_cfg(momentum=0.0, weight_decay=0.0, lr=0.1)
         p = [np.array([1.0, 2.0])]
         g = [np.array([0.5, -1.0])]
-        state = OptimizerState(velocities=[np.zeros(2)], lr=0.1)
-        sgd_step(p, g, state, cfg)
+        sgd_step(p, g, [np.zeros(2)], 0.1, cfg)
         assert np.allclose(p[0], [1.0 - 0.05, 2.0 + 0.1], rtol=0, atol=1e-15)
 
     def test_two_steps_constant_gradient_closed_form(self):
@@ -112,29 +109,27 @@ class TestSgdStep:
         cfg = clean_cfg(momentum=mu, weight_decay=0.0, lr=lr)
         p = [np.array([3.0])]
         g = [np.array([2.0])]
-        state = OptimizerState(velocities=[np.zeros(1)], lr=lr)
-        sgd_step(p, g, state, cfg)
-        sgd_step(p, g, state, cfg)
+        v = [np.zeros(1)]
+        sgd_step(p, g, v, lr, cfg)
+        sgd_step(p, g, v, lr, cfg)
         assert p[0][0] == pytest.approx(3.0 - lr * 2.0 * (2 + mu), abs=1e-15)
 
     def test_zero_gradient_fresh_state_leaves_params(self):
         cfg = clean_cfg(momentum=0.9, weight_decay=0.0)
         p = [np.array([1.0, -1.0])]
-        state = OptimizerState(velocities=[np.zeros(2)], lr=0.1)
-        sgd_step(p, [np.zeros(2)], state, cfg)
+        sgd_step(p, [np.zeros(2)], [np.zeros(2)], 0.1, cfg)
         assert np.array_equal(p[0], np.array([1.0, -1.0]))
 
     def test_zero_gradient_decays_buffers(self):
         cfg = clean_cfg(momentum=0.5, weight_decay=0.0)
-        state = OptimizerState(velocities=[np.array([2.0])], lr=0.1)
-        sgd_step([np.array([0.0])], [np.zeros(1)], state, cfg)
-        assert state.velocities[0][0] == 1.0
+        v = [np.array([2.0])]
+        sgd_step([np.array([0.0])], [np.zeros(1)], v, 0.1, cfg)
+        assert v[0][0] == 1.0
 
     def test_weight_decay_enters_gradient(self):
         cfg = clean_cfg(momentum=0.0, weight_decay=0.1, lr=1.0)
         p = [np.array([2.0])]
-        state = OptimizerState(velocities=[np.zeros(1)], lr=1.0)
-        sgd_step(p, [np.zeros(1)], state, cfg)
+        sgd_step(p, [np.zeros(1)], [np.zeros(1)], 1.0, cfg)
         assert p[0][0] == pytest.approx(2.0 - 0.1 * 2.0, abs=1e-15)
 
 
@@ -229,8 +224,7 @@ class TestTrain:
         ds = gen_blobs(0, 20, [[-1, 0], [1, 0]], 0.3)
         model = init_mlp(1, [2, 4, 2])
         before = [p.copy() for p in model.parameters()]
-        _, report = train(model, ds, clean_cfg(epochs=0))
-        assert report.records == []
+        assert train(model, ds, clean_cfg(epochs=0)) == []
         assert all(np.array_equal(p, q) for p, q in zip(model.parameters(), before))
 
     def test_separable_blobs_reach_full_accuracy(self):
@@ -240,8 +234,8 @@ class TestTrain:
         assert (ds.features[ds.labels == 1][:, 0] > 0).all()
         model = init_mlp(5, [2, 8, 2])
         cfg = clean_cfg(epochs=200, lr=0.1, batch_size=16, weight_decay=0.0, seed=7)
-        _, report = train(model, ds, cfg)
-        assert max(r.clean_acc for r in report.records) == 1.0
+        records = train(model, ds, cfg)
+        assert max(r.clean_acc for r in records) == 1.0
 
     def test_lambda_zero_matches_clean_trainer_bitwise(self):
         ds = gen_blobs(11, 40, [[-1, 0], [1, 0], [0, 1.5]], 0.4)
@@ -250,10 +244,10 @@ class TestTrain:
             m_cap = init_mlp(9, [2, 8, 3])
             cfg_clean = clean_cfg(epochs=epochs, seed=13, probe_size=4)
             cfg_cap = dataclasses.replace(cfg_clean, baseline_kind="cap", lam=0.0)
-            _, rep_clean = train(m_clean, ds, cfg_clean)
-            _, rep_cap = train(m_cap, ds, cfg_cap)
+            rec_clean = train(m_clean, ds, cfg_clean)
+            rec_cap = train(m_cap, ds, cfg_cap)
             assert params_equal(m_clean, m_cap)
-            for a, b in zip(rep_clean.records, rep_cap.records):
+            for a, b in zip(rec_clean, rec_cap):
                 assert a.clean_acc == b.clean_acc
                 assert a.ce_term == b.ce_term
                 assert a.reg_term == b.reg_term == 0.0
@@ -266,7 +260,7 @@ class TestTrain:
             ds = gen_blobs(seed, 50, [[-1, 0], [1, 0], [0, 1.5]], 0.4)
             model = init_mlp(seed + 100, [2, 16, 3])
             before = dataset_ce(model, ds)
-            _, _ = train(model, ds, clean_cfg(epochs=1, lr=0.01, seed=seed))
+            train(model, ds, clean_cfg(epochs=1, lr=0.01, seed=seed))
             deltas.append(dataset_ce(model, ds) - before)
         assert np.mean(deltas) < 0
 
@@ -277,35 +271,35 @@ class TestTrain:
         )
         m1 = init_mlp(2, [2, 8, 2])
         m2 = init_mlp(2, [2, 8, 2])
-        _, r1 = train(m1, ds, cfg)
-        _, r2 = train(m2, ds, cfg)
+        r1 = train(m1, ds, cfg)
+        r2 = train(m2, ds, cfg)
         assert params_equal(m1, m2)
-        assert [e.clean_acc for e in r1.records] == [e.clean_acc for e in r2.records]
-        assert [e.mean_diameter for e in r1.records] == [e.mean_diameter for e in r2.records]
+        assert [e.clean_acc for e in r1] == [e.clean_acc for e in r2]
+        assert [e.mean_diameter for e in r1] == [e.mean_diameter for e in r2]
 
     def test_cap_regularizer_term_nonnegative_over_training(self):
         ds = gen_blobs(15, 30, [[-1, 0], [1, 0]], 0.35)
         model = init_mlp(3, [2, 8, 2])
         cfg = clean_cfg(epochs=3, baseline_kind="cap", lam=0.5)
-        _, report = train(model, ds, cfg)
-        assert all(r.reg_term >= 0 for r in report.records)
-        assert any(r.reg_term > 0 for r in report.records)
+        records = train(model, ds, cfg)
+        assert all(r.reg_term >= 0 for r in records)
+        assert any(r.reg_term > 0 for r in records)
 
     def test_vanilla_at_runs_and_reports(self):
         ds = gen_blobs(16, 30, [[-1, 0], [1, 0]], 0.35)
         model = init_mlp(4, [2, 8, 2])
         atk = AttackConfig("pgd", epsilon=0.1, step_size=0.05, steps=5, random_start=True)
         cfg = clean_cfg(epochs=2, baseline_kind="vanilla_at", attack=atk)
-        _, report = train(model, ds, cfg)
-        assert len(report.records) == 2
-        assert all(r.reg_term == 0.0 for r in report.records)
+        records = train(model, ds, cfg)
+        assert len(records) == 2
+        assert all(r.reg_term == 0.0 for r in records)
 
     def test_lr_drops_apply_at_epoch_start(self):
         ds = gen_blobs(17, 20, [[-1, 0], [1, 0]], 0.35)
         model = init_mlp(5, [2, 4, 2])
         cfg = clean_cfg(epochs=4, lr=0.1, lr_drops=((2, 10.0), (4, 10.0)))
-        _, report = train(model, ds, cfg)
-        assert [r.lr for r in report.records] == [0.1, 0.01, 0.01, 0.001]
+        records = train(model, ds, cfg)
+        assert [r.lr for r in records] == [0.1, 0.01, 0.01, 0.001]
 
     def test_vanilla_at_requires_attack_config(self):
         with pytest.raises(ValueError, match="attack"):
@@ -315,20 +309,24 @@ class TestTrain:
         with pytest.raises(ValueError, match="lambda"):
             clean_cfg(lam=-0.1)
 
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            # the INI parser rejects both; a drop at epoch 0 would never apply
+            (dict(lr_drops=((0, 10.0),)), "lr_drops epochs"),
+            (dict(seed=-1), "seed"),
+        ],
+    )
+    def test_values_the_config_file_rejects(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            clean_cfg(**kw)
+
     def test_probe_diameter_recorded_for_all_kinds(self):
         ds = gen_blobs(18, 20, [[-1, 0], [1, 0]], 0.35)
         for kind in ("clean", "cap"):
             model = init_mlp(6, [2, 4, 2])
             cfg = clean_cfg(epochs=1, baseline_kind=kind, lam=0.2, probe_size=5)
-            _, report = train(model, ds, cfg)
-            assert report.records[0].mean_diameter is not None
-            assert report.records[0].mean_diameter >= 0
+            records = train(model, ds, cfg)
+            assert records[0].mean_diameter is not None
+            assert records[0].mean_diameter >= 0
 
-
-class TestOptimizerInit:
-    def test_buffers_mirror_parameter_shapes(self):
-        model = init_mlp(0, [3, 7, 2])
-        state = init_optimizer(model, clean_cfg())
-        for v, p in zip(state.velocities, model.parameters()):
-            assert v.shape == p.shape
-            assert not v.any()
