@@ -10,7 +10,6 @@ from .attacks import AttackConfig, attack, clean_accuracy, fgsm, pgd, robust_acc
 from .data import Dataset, gen_blobs, gen_moons, load_csv, split
 from .errors import CapLabError, ConfigError, CsvParseError, NumericsError, ShapeError
 from .nn import (
-    ForwardTrace,
     Layer,
     MlpModel,
     forward,
@@ -44,7 +43,6 @@ __all__ = [
     "CsvParseError",
     "Dataset",
     "EpochRecord",
-    "ForwardTrace",
     "Layer",
     "MlpModel",
     "NumericsError",

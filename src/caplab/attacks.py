@@ -8,6 +8,7 @@ with a label array; rows are attacked independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,13 +36,15 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be finite and >= 0")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
         if self.kind == "pgd":
-            if self.steps < 1:
+            if not self.steps >= 1:
                 raise ValueError("pgd needs steps >= 1")
-            if self.step_size <= 0:
-                raise ValueError("pgd needs step_size > 0")
+            if not (self.step_size > 0 and math.isfinite(self.step_size)):
+                raise ValueError("pgd needs a finite step_size > 0")
 
     def budget(self) -> PerturbationBudget:
         return PerturbationBudget(epsilon=self.epsilon, input_clip=self.input_clip)

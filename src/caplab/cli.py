@@ -92,8 +92,7 @@ def _dataset_summary(train_ds: Dataset, test_ds: Dataset) -> dict:
     }
 
 
-def _run_training(rc: RunConfig, out_dir: Path) -> tuple[MlpModel, Dataset, Dataset]:
-    train_ds, test_ds = build_datasets(rc)
+def _run_training(rc: RunConfig, out_dir: Path, train_ds: Dataset, test_ds: Dataset) -> MlpModel:
     model = build_model(rc, train_ds)
     cfg = build_train_config(rc)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -110,13 +109,13 @@ def _run_training(rc: RunConfig, out_dir: Path) -> tuple[MlpModel, Dataset, Data
     }
     _dump_json(doc, out_dir / "report.json")
     _write_history_csv(records, out_dir / "history.csv")
-    return model, train_ds, test_ds
+    return model
 
 
 def cmd_train(args) -> int:
     rc = _load_config(args, args.config)
     out_dir = _out_dir(rc)
-    _run_training(rc, out_dir)
+    _run_training(rc, out_dir, *build_datasets(rc))
     print(f"wrote checkpoint.json, report.json, history.csv to {out_dir}")
     return 0
 
@@ -195,6 +194,7 @@ def cmd_corners(args) -> int:
 
     _log(out_dir, f"corners start: sample={args.sample_index} N={cfg.n_particles} T={cfg.steps}")
     _, est = find_corners(model, x, cfg)
+    diameter = est.diameter
     doc = {
         "sample_index": args.sample_index,
         "search": {
@@ -208,11 +208,11 @@ def cmd_corners(args) -> int:
         "corners": est.corners.tolist(),
         "center": est.center.tolist(),
         "distances": est.distances.tolist(),
-        "diameter": est.diameter,
+        "diameter": diameter,
         "objective_history": est.objective_history.tolist(),
     }
     _dump_json(doc, out_dir / "estimate.json")
-    if est.diameter == 0.0 and cfg.budget.epsilon > 0 and cfg.n_particles > 1:
+    if diameter == 0.0 and cfg.budget.epsilon > 0 and cfg.n_particles > 1:
         print(
             f"warning: all {cfg.n_particles} corners coincide; epsilon {cfg.budget.epsilon!r} "
             "may be below the float resolution of this sample's outputs",
@@ -228,7 +228,7 @@ def cmd_corners(args) -> int:
             print("warning: corner logits too large to plot, skipping SVG", file=sys.stderr)
         else:
             (out_dir / "corners.svg").write_text(svg, encoding="utf-8")
-    print(f"diameter {est.diameter!r} over {cfg.n_particles} corners -> {out_dir}")
+    print(f"diameter {diameter!r} over {cfg.n_particles} corners -> {out_dir}")
     _log(out_dir, "corners done")
     return 0
 
@@ -245,13 +245,15 @@ def cmd_compare(args) -> int:
     rc_a = _load_config(args, args.config_a)
     rc_b = _load_config(args, args.config_b)
     _require_shared(rc_a, rc_b)
+    # the shared [data] section and seed give both runs the same datasets
+    train_ds, test_ds = build_datasets(rc_a)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for tag, rc in (("a", rc_a), ("b", rc_b)):
         try:
-            model, _, test_ds = _run_training(rc, out_dir / tag)
+            model = _run_training(rc, out_dir / tag, train_ds, test_ds)
         except Exception as exc:
             _dump_json(
                 {"status": "incomplete", "failed": f"{tag}: {rc.path}", "error": str(exc)},
@@ -394,6 +396,9 @@ def main(argv=None) -> int:
         return 3
     except (CapLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,14 +14,15 @@ All public entry points accept a single sample of shape (d,) or a batch of
 rows (B, d); batch semantics are per-row application of the single-sample
 contract. Internally everything runs on 2-D arrays through one code path,
 so results are deterministic and bit-reproducible for identical inputs.
-The forward trace keeps each layer's input and nothing else: the backward
-pass reads a relu layer's mask off the next layer's input.
+The forward trace is the list of layer inputs, each 2-D, and nothing else:
+the backward pass reads a relu layer's mask off the next layer's input.
+The input gradient is one row exactly when its cotangent is one (c,) vector.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -103,26 +104,6 @@ class MlpModel:
         return out
 
 
-@dataclass
-class ForwardTrace:
-    """Activations retained from a forward pass for the paired backward.
-
-    ``inputs[k]`` is the input to layer k (so inputs[0] is the network input),
-    stored as 2-D (batch, width) arrays; ``squeeze`` records whether the
-    original input was a single (d,) vector. A relu layer k's mask is read
-    from ``inputs[k + 1] = max(z, 0)``: ``max(z, 0) > 0`` is ``z > 0`` for
-    every float64 z (signed zeros, infinities and NaN included), and the
-    last layer is identity, so every relu layer has a next input.
-    """
-
-    inputs: list[np.ndarray] = field(default_factory=list)
-    squeeze: bool = False
-
-    @property
-    def batch_size(self) -> int:
-        return self.inputs[0].shape[0]
-
-
 def _as_rows(x: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -133,19 +114,24 @@ def _as_rows(x: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
-def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
+def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Evaluate the network; return (logits, trace).
 
     ``x`` may be one sample (d,) or a batch (B, d); logits come back with the
-    matching shape ((c,) or (B, c)). The trace retains what the backward pass
-    needs, so a forward is never recomputed for its gradient.
+    matching shape ((c,) or (B, c)). ``trace[k]`` is the input to layer k as
+    a 2-D (B, width) array, so ``trace[0]`` is the network input. It is what
+    the backward pass needs, so a forward is never recomputed for its
+    gradient. A relu layer k's mask is read from ``trace[k + 1] = max(z, 0)``:
+    ``max(z, 0) > 0`` is ``z > 0`` for every float64 z (signed zeros,
+    infinities and NaN included), and the last layer is identity, so every
+    relu layer has a next input.
     """
     a, squeeze = _as_rows(x, model.input_dim, "forward")
     if not np.isfinite(a).all():
         raise ValueError("forward: input contains non-finite values")
-    trace = ForwardTrace(squeeze=squeeze)
+    trace = []
     for layer in model.layers:
-        trace.inputs.append(a)
+        trace.append(a)
         z = a @ layer.weight.T + layer.bias
         if layer.activation == "relu":
             a = np.maximum(z, 0.0)
@@ -155,23 +141,27 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     return logits, trace
 
 
-def _cotangent_rows(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray) -> np.ndarray:
+def _cotangent_rows(
+    model: MlpModel, trace: list[np.ndarray], cotangent: np.ndarray
+) -> np.ndarray:
     """The cotangent as (batch, logits) rows, checked against the trace."""
-    if len(trace.inputs) != len(model.layers):
+    if len(trace) != len(model.layers):
         raise ShapeError("trace does not match model: layer count differs")
     for k, layer in enumerate(model.layers):
-        if trace.inputs[k].shape[1] != layer.in_dim:
+        if trace[k].shape[1] != layer.in_dim:
             raise ShapeError(f"trace does not match model at layer {k}")
     cot = np.asarray(cotangent, dtype=np.float64)
     if cot.ndim == 1:
         cot = cot.reshape(1, -1)
-    want = (trace.batch_size, model.output_dim)
+    want = (trace[0].shape[0], model.output_dim)
     if cot.shape != want:
         raise ShapeError(f"cotangent shape {cot.shape} does not match logits shape {want}")
     return cot
 
 
-def grad_params(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray) -> list[np.ndarray]:
+def grad_params(
+    model: MlpModel, trace: list[np.ndarray], cotangent: np.ndarray
+) -> list[np.ndarray]:
     """Exact gradients of <cotangent, logits> w.r.t. every weight and bias.
 
     For a batched trace the result is the sum over rows. The list mirrors
@@ -184,27 +174,28 @@ def grad_params(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray) -> 
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         if layer.activation == "relu":
-            delta = delta * (trace.inputs[k + 1] > 0.0)
-        grads[:0] = [delta.T @ trace.inputs[k], delta.sum(axis=0)]
+            delta = delta * (trace[k + 1] > 0.0)
+        grads[:0] = [delta.T @ trace[k], delta.sum(axis=0)]
         if k:
             delta = delta @ layer.weight
     return grads
 
 
-def grad_input(model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray) -> np.ndarray:
+def grad_input(model: MlpModel, trace: list[np.ndarray], cotangent: np.ndarray) -> np.ndarray:
     """Exact gradient of <cotangent, logits> w.r.t. the network input.
 
     The input-only reverse pass: the same relu masks and ``delta @ W``
     products as ``grad_params``, so the same bits, without the weight and
-    bias gradients that corner search and the attacks do not use.
+    bias gradients that corner search and the attacks do not use. It returns
+    one (d,) row if the cotangent is one (c,) vector, else (B, d) rows.
     """
     delta = _cotangent_rows(model, trace, cotangent)
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         if layer.activation == "relu":
-            delta = delta * (trace.inputs[k + 1] > 0.0)
+            delta = delta * (trace[k + 1] > 0.0)
         delta = delta @ layer.weight
-    return delta[0] if trace.squeeze else delta
+    return delta[0] if np.ndim(cotangent) == 1 else delta
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

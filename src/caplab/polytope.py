@@ -28,6 +28,7 @@ vertices of the true set.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericsError, ShapeError
-from .nn import MlpModel, ForwardTrace, forward, grad_input
+from .nn import MlpModel, forward, grad_input
 from .seeding import COUNTER_ZERO, stream_counters
 
 
@@ -48,8 +49,8 @@ class PerturbationBudget:
     input_clip: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.input_clip is not None:
             lo, hi = self.input_clip
             if not lo < hi:
@@ -81,26 +82,27 @@ class ParticleSet:
 
 @dataclass
 class PolytopeEstimate:
-    """Corner outputs, their empirical center, and summary geometry."""
+    """Corner outputs, their empirical center, and the search's objective;
+    the summary geometry is computed from the corners on each access."""
 
     corners: np.ndarray  # (N, c) logit vectors
     center: np.ndarray  # (c,)
-    distances: np.ndarray  # (N,) l2 distance corner -> center
-    diameter: float  # max pairwise corner distance
     objective_history: np.ndarray  # (T,) mean squared distance per outer iteration
 
     def __post_init__(self) -> None:
         self.corners = np.asarray(self.corners, dtype=np.float64)
         self.center = np.asarray(self.center, dtype=np.float64)
-        self.distances = np.asarray(self.distances, dtype=np.float64)
         self.objective_history = np.asarray(self.objective_history, dtype=np.float64)
-        n = self.corners.shape[0]
-        if self.distances.shape != (n,):
-            raise ShapeError("one distance per corner is required")
-        if np.any(self.distances < 0) or self.diameter < 0:
-            raise ValueError("distances and diameter must be nonnegative")
-        if self.diameter > 2.0 * self.distances.max(initial=0.0) + 1e-9:
-            raise ValueError("diameter exceeds twice the max center distance")
+
+    @property
+    def distances(self) -> np.ndarray:
+        """(N,) l2 distance of each corner to the center."""
+        return np.sqrt(((self.corners - self.center[None, :]) ** 2).sum(axis=1))
+
+    @property
+    def diameter(self) -> float:
+        """Largest l2 distance between two corners."""
+        return max_pairwise_distance(self.corners)
 
 
 @dataclass(frozen=True)
@@ -114,12 +116,14 @@ class CornerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_particles < 1:
+        if not self.n_particles >= 1:
             raise ValueError("n_particles must be >= 1")
-        if self.steps < 1:
+        if not self.steps >= 1:
             raise ValueError("steps must be >= 1")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        if not (self.eta >= 0 and math.isfinite(self.eta)):
+            raise ValueError("eta must be finite and >= 0")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
 
 
 def init_particles(
@@ -246,7 +250,7 @@ def ascend_step(
 
 def corner_search_batch(
     model: MlpModel, X: np.ndarray, counters: np.ndarray, cfg: CornerConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ForwardTrace]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """Vectorized corner search for B samples at once (the trainer's path).
 
     ``counters`` holds one (4,) Philox counter row per sample (see
@@ -334,16 +338,8 @@ def find_corners(
     if x.ndim != 1:
         raise ShapeError(f"x must be a single (d,) sample, got {x.shape}")
     P, L, centers, history, _ = corner_search_batch(model, x[None, :], COUNTER_ZERO, cfg)
-    logits, center = L[0], centers[0]
     particles = ParticleSet(particles=P[0], budget=cfg.budget)
-    dists = np.sqrt(((logits - center[None, :]) ** 2).sum(axis=1))
-    est = PolytopeEstimate(
-        corners=logits,
-        center=center,
-        distances=dists,
-        diameter=max_pairwise_distance(logits),
-        objective_history=history[0],
-    )
+    est = PolytopeEstimate(corners=L[0], center=centers[0], objective_history=history[0])
     return particles, est
 
 

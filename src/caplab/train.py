@@ -23,6 +23,7 @@ writes the run files.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,25 +64,25 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.baseline_kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline_kind {self.baseline_kind!r}")
-        if self.epochs < 0:
+        if not self.epochs >= 0:
             raise ValueError("epochs must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.batch_size < 1:
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError("lr must be finite and > 0")
+        if not (self.lam >= 0 and math.isfinite(self.lam)):
+            raise ValueError("lambda must be finite and >= 0")
+        if not self.batch_size >= 1:
             raise ValueError("batch_size must be >= 1")
-        if self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("momentum and weight_decay must be >= 0")
-        if self.probe_size < 0:
+        if not all(v >= 0 and math.isfinite(v) for v in (self.momentum, self.weight_decay)):
+            raise ValueError("momentum and weight_decay must be finite and >= 0")
+        if not self.probe_size >= 0:
             raise ValueError("probe_size must be >= 0")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
         epochs_seen = [e for e, _ in self.lr_drops]
-        if epochs_seen != sorted(set(epochs_seen)) or any(e < 1 for e in epochs_seen):
+        if epochs_seen != sorted(set(epochs_seen)) or not all(e >= 1 for e in epochs_seen):
             raise ValueError("lr_drops epochs must be positive and strictly increasing")
-        if any(div <= 0 for _, div in self.lr_drops):
-            raise ValueError("lr_drops divisors must be > 0")
+        if not all(div > 0 and math.isfinite(div) for _, div in self.lr_drops):
+            raise ValueError("lr_drops divisors must be finite and > 0")
         if self.baseline_kind == "vanilla_at" and self.attack is None:
             raise ValueError("vanilla_at requires an attack config")
 
@@ -138,10 +139,12 @@ def _batch_gradients(
     labels: np.ndarray,
     sample_ids: np.ndarray,
     cfg: TrainConfig,
+    search: CornerConfig,
     epoch: int,
     batch_index: int,
 ) -> tuple[list[np.ndarray], float, float]:
-    """Mean-loss gradients for one minibatch; returns (grads, ce_sum, reg_sum)."""
+    """Mean-loss gradients for one minibatch; returns (grads, ce_sum, reg_sum).
+    ``search`` is the cap term's corner search, keyed by the run seed."""
     if cfg.baseline_kind == "vanilla_at":
         atk = dataclasses.replace(
             cfg.attack, seed=derive_seed(cfg.seed, STREAM_ATTACK, epoch, batch_index)
@@ -154,7 +157,6 @@ def _batch_gradients(
 
     B = X.shape[0]
     counters = stream_counters(sample_ids, epoch, STREAM_PARTICLES)
-    search = dataclasses.replace(cfg.polytope, seed=cfg.seed)  # keyed by the run seed
     _, L, centers, _, corner_trace = corner_search_batch(model, X, counters, search)
     resid = L - centers[:, None, :]
     reg_rows = (resid**2).sum(axis=(1, 2))
@@ -164,9 +166,10 @@ def _batch_gradients(
     return grads, float(ce_rows.sum()), float(cfg.lam * reg_rows.sum())
 
 
-def _probe_mean_diameter(model: MlpModel, probe: np.ndarray, cfg: TrainConfig, epoch: int) -> float:
+def _probe_mean_diameter(
+    model: MlpModel, probe: np.ndarray, search: CornerConfig, epoch: int
+) -> float:
     counters = stream_counters(np.arange(probe.shape[0]), epoch, STREAM_PROBE)
-    search = dataclasses.replace(cfg.polytope, seed=cfg.seed)
     _, L, _, _, _ = corner_search_batch(model, probe, counters, search)
     return float(np.mean([max_pairwise_distance(L[i]) for i in range(L.shape[0])]))
 
@@ -198,6 +201,7 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> list[EpochReco
     lr = cfg.lr
     records = []
     probe = dataset.features[: cfg.probe_size] if cfg.probe_size > 0 else None
+    search = dataclasses.replace(cfg.polytope, seed=cfg.seed)  # keyed by the run seed
 
     for epoch in range(1, cfg.epochs + 1):
         for drop_epoch, divisor in cfg.lr_drops:
@@ -217,6 +221,7 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> list[EpochReco
                     dataset.labels[idx],
                     idx,
                     cfg,
+                    search,
                     epoch,
                     b // cfg.batch_size,
                 )
@@ -240,7 +245,7 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> list[EpochReco
                 ce_term=ce_sum / dataset.n_samples,
                 reg_term=reg_sum / dataset.n_samples,
                 mean_diameter=(
-                    _probe_mean_diameter(model, probe, cfg, epoch) if probe is not None else None
+                    _probe_mean_diameter(model, probe, search, epoch) if probe is not None else None
                 ),
                 lr=lr,
             )

@@ -10,7 +10,6 @@ import numpy as np
 from caplab import (
     CornerConfig,
     Dataset,
-    ForwardTrace,
     MlpModel,
     NumericsError,
     ParticleSet,
@@ -113,14 +112,14 @@ def corner_search_reference(model: MlpModel, X: np.ndarray, counters, cfg: Corne
     return P, L, centers, history
 
 
-def preactivations(model: MlpModel, trace: ForwardTrace) -> list[np.ndarray]:
-    """Each layer's pre-activation ``inputs[k] @ W.T + b``, recomputed from
+def preactivations(model: MlpModel, trace: list[np.ndarray]) -> list[np.ndarray]:
+    """Each layer's pre-activation ``trace[k] @ W.T + b``, recomputed from
     the trace (the forward pass keeps only the layer inputs)."""
-    return [a @ layer.weight.T + layer.bias for a, layer in zip(trace.inputs, model.layers)]
+    return [a @ layer.weight.T + layer.bias for a, layer in zip(trace, model.layers)]
 
 
 def backward(
-    model: MlpModel, trace: ForwardTrace, cotangent: np.ndarray
+    model: MlpModel, trace: list[np.ndarray], cotangent: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The full reverse pass for sum over rows of <cotangent_row, logits_row>:
     (parameter gradients in ``parameters()`` order, input gradient as rows).
@@ -135,7 +134,7 @@ def backward(
         layer = model.layers[k]
         if layer.activation == "relu":
             delta = delta * (preacts[k] > 0.0)
-        weight_grads.append(delta.T @ trace.inputs[k])
+        weight_grads.append(delta.T @ trace[k])
         bias_grads.append(delta.sum(axis=0))
         delta = delta @ layer.weight
 

@@ -174,6 +174,16 @@ class TestPgd:
             AttackConfig("pgd", epsilon=0.1, step_size=0.1, steps=0)
         with pytest.raises(ValueError):
             AttackConfig("bim", epsilon=0.1)
+        # values the config file rejects: non-finite budgets and steps, negative seeds
+        for kind, eps in itertools.product(("fgsm", "pgd"), (np.nan, np.inf, -0.1)):
+            with pytest.raises(ValueError, match="epsilon"):
+                AttackConfig(kind, epsilon=eps, step_size=0.1, steps=5)
+        for step in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="step_size"):
+                AttackConfig("pgd", epsilon=0.1, step_size=step, steps=5)
+        for kind in ("fgsm", "pgd"):
+            with pytest.raises(ValueError, match="seed"):
+                AttackConfig(kind, epsilon=0.1, step_size=0.1, steps=5, seed=-1)
 
 
 class TestFeasibility:

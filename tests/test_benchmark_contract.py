@@ -2,10 +2,12 @@
 
 perfbench/ changes only together with the benchmark, so a library change
 that drops one of these names, moves an argument or result slot that the
-tracer keeps, or hides the trainer's per-epoch ``clean_accuracy`` call from
-the epoch clock, must fail here, not in the next ``perfbench/run.py``. The check runs the way the harness does: in
-a fresh interpreter at the repository root, with perfbench/ and src/ on
-sys.path. It reads perfbench/ and writes nothing there.
+tracer keeps, hides the trainer's per-epoch ``clean_accuracy`` call from the
+epoch clock, or changes what an audit repeat reads of an estimate, must fail
+here, not in the next ``perfbench/run.py``. The check runs the way the
+harness does: in a fresh interpreter at the repository root, with perfbench/
+and src/ on sys.path. It reads perfbench/ and its committed fixtures, and
+writes only under a temporary directory.
 """
 
 import os
@@ -18,6 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CHECK = """
 import dataclasses
 import sys
+import tempfile
+from pathlib import Path
 
 import worker
 from common import import_caplab
@@ -58,6 +62,12 @@ train_cfg = dataclasses.replace(caplab.config.build_train_config(rc), epochs=2)
 with worker.EpochClock(train_module) as clock:
     train_module.train(model, train_ds, train_cfg)
 assert len(clock.marks) == 2, clock.marks
+
+# one audit repeat on the committed seed-1 fixture: it reads eval.json and
+# the estimates' diameter, corners, center and objective history
+with tempfile.TemporaryDirectory() as tmp:
+    rec = worker.audit_repeat(worker.setup("audit", 1), Path(tmp), False)
+assert set(rec["digests"]) == {"eval.json", "mean_diameter", "estimates"}, rec
 print("ok")
 """
 

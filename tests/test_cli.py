@@ -475,6 +475,24 @@ class TestCompareCommand:
         assert main(["compare", "--config-a", cfg_a, "--config-b", cfg_b, "--out", str(tmp_path / "x")]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_missing_data_file_exits_2_and_leaves_no_out(self, tmp_path, capsys):
+        # the shared [data] section loads once, before --out is created
+        text = (
+            f"[data]\nkind = csv\npath = {tmp_path / 'missing.csv'}\ntest_fraction = 0.25\n\n"
+            "[model]\nhidden = 4\n\n[train]\nkind = clean\nepochs = 1\nlr = 0.1\n"
+        )
+        (tmp_path / "a.ini").write_text(text)
+        (tmp_path / "b.ini").write_text(text.replace("kind = clean", "kind = cap"))
+        out = tmp_path / "cmp"
+        code = main(
+            ["compare", "--config-a", str(tmp_path / "a.ini"), "--config-b", str(tmp_path / "b.ini"),
+             "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "missing.csv" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_config_marked_incomplete(self, tmp_path):
         cfg_a = write_mini(tmp_path, name="a.ini", epochs=1)
@@ -487,6 +505,24 @@ class TestCompareCommand:
         doc = json.loads((out / "compare.json").read_text())
         assert doc["status"] == "incomplete"
         assert "b.ini" in doc["failed"]
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # stands in for an allocation that fails, e.g. --particles 100000000000;
+    # the test never asks for a real huge array
+    def find_corners(*args):
+        raise MemoryError("Unable to allocate 14.9 TiB for an array")
+
+    monkeypatch.setattr("caplab.cli.find_corners", find_corners)
+    save_model(init_mlp(1, [2, 6, 3]), str(tmp_path / "m.json"))
+    cfg = write_mini(tmp_path)
+    code = main(
+        ["corners", "--config", cfg, "--checkpoint", str(tmp_path / "m.json"),
+         "--out", str(tmp_path / "o")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: out of memory: Unable to allocate 14.9 TiB for an array\n"
 
 
 def test_output_keys_are_pinned(tmp_path):

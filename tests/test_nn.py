@@ -334,11 +334,24 @@ class TestGradients:
         cots = rng.standard_normal((4, 2))
         _, trace = forward(model, X)
         batched = grad_params(model, trace, cots)
+        batched_input = grad_input(model, trace, cots)
         summed = None
         for i in range(4):
             _, tr = forward(model, X[i])
             gi = grad_params(model, tr, cots[i])
             summed = gi if summed is None else [a + b for a, b in zip(summed, gi)]
+            # grad_input returns one row exactly when the cotangent is one (c,)
+            # vector, whatever the shape of the input that the trace saw
+            for x, cot, shape in [
+                (X[i], cots[i], (3,)),
+                (X[i : i + 1], cots[i], (3,)),
+                (X[i], cots[i : i + 1], (1, 3)),
+                (X[i : i + 1], cots[i : i + 1], (1, 3)),
+            ]:
+                _, tr = forward(model, x)
+                g = grad_input(model, tr, cot)
+                assert g.shape == shape
+                assert np.allclose(g.reshape(-1), batched_input[i], rtol=1e-12, atol=1e-12)
         for a, b in zip(batched, summed):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 

@@ -2,6 +2,7 @@
 dynamics against analytic and enumeration oracles, feasibility, determinism."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -34,12 +35,30 @@ def linear_model(W, b=None):
 
 class TestBudget:
     def test_rejects_negative_epsilon(self):
-        with pytest.raises(ValueError):
-            PerturbationBudget(-0.1)
+        # NaN and the infinities fail as the config file's epsilon key does
+        for eps in (-0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                PerturbationBudget(eps)
 
     def test_rejects_bad_clip(self):
         with pytest.raises(ValueError):
             PerturbationBudget(0.1, input_clip=(1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(n_particles=0), "n_particles"),
+            (dict(steps=0), "steps"),
+            (dict(eta=-0.1), "eta"),
+            (dict(eta=np.nan), "eta"),
+            (dict(eta=np.inf), "eta"),
+            (dict(seed=-1), "seed"),
+        ],
+    )
+    def test_corner_config_rejects_what_the_config_file_rejects(self, kw, match):
+        base = dict(n_particles=3, steps=2, eta=0.05, budget=PerturbationBudget(0.1))
+        with pytest.raises(ValueError, match=match):
+            CornerConfig(**{**base, **kw})
 
 
 class TestInitParticles:
@@ -440,7 +459,14 @@ class TestDiameter:
         model = init_mlp(14, [2, 4, 2])
         cfg = CornerConfig(5, 5, 0.05, PerturbationBudget(0.1), seed=4)
         _, est = find_corners(model, np.array([0.3, -0.3]), cfg)
-        assert max_pairwise_distance(est.corners) == est.diameter
+        # independent of the library's numpy expressions: math.dist per pair
+        corners = est.corners.tolist()
+        pairs = [math.dist(a, b) for a, b in itertools.combinations(corners, 2)]
+        to_center = [math.dist(a, est.center.tolist()) for a in corners]
+        assert max(pairs) > 0
+        assert est.diameter == pytest.approx(max(pairs), rel=1e-12, abs=0)
+        assert est.distances.shape == (5,)
+        assert est.distances.tolist() == pytest.approx(to_center, rel=1e-12, abs=0)
 
 
 class TestManySamples:

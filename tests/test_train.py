@@ -65,8 +65,8 @@ def cap_loss(
     return ce + lam * reg, [a + b for a, b in zip(grads, reg_grads)]
 
 
-def tiny_polytope(eps=0.1):
-    return CornerConfig(n_particles=4, steps=3, eta=0.05, budget=PerturbationBudget(eps))
+def tiny_polytope(eps=0.1, seed=0):
+    return CornerConfig(n_particles=4, steps=3, eta=0.05, budget=PerturbationBudget(eps), seed=seed)
 
 
 def clean_cfg(**kw):
@@ -195,11 +195,13 @@ class TestCapLoss:
         model = init_mlp(6, [2, 8, 3])
         cfg = clean_cfg(baseline_kind="cap", lam=0.6, seed=19)
         ids = np.arange(ds.n_samples)
-        grads, ce_sum, reg_sum = _batch_gradients(model, ds.features, ds.labels, ids, cfg, 1, 0)
-        total = 0.0
-        want = [np.zeros_like(p) for p in model.parameters()]
         # the trainer keys its streams from the run seed, not the polytope's
         search = dataclasses.replace(cfg.polytope, seed=cfg.seed)
+        grads, ce_sum, reg_sum = _batch_gradients(
+            model, ds.features, ds.labels, ids, cfg, search, 1, 0
+        )
+        total = 0.0
+        want = [np.zeros_like(p) for p in model.parameters()]
         for i in ids:
             P, _, centers, _, _ = corner_search_batch(
                 model, ds.features[i : i + 1], stream_counters([i], 1, STREAM_PARTICLES), search
@@ -276,6 +278,11 @@ class TestTrain:
         assert params_equal(m1, m2)
         assert [e.clean_acc for e in r1] == [e.clean_acc for e in r2]
         assert [e.mean_diameter for e in r1] == [e.mean_diameter for e in r2]
+        # every search is keyed by the run seed; the polytope's own seed is unread
+        m3 = init_mlp(2, [2, 8, 2])
+        r3 = train(m3, ds, dataclasses.replace(cfg, polytope=tiny_polytope(seed=5)))
+        assert params_equal(m1, m3)
+        assert [e.mean_diameter for e in r1] == [e.mean_diameter for e in r3]
 
     def test_cap_regularizer_term_nonnegative_over_training(self):
         ds = gen_blobs(15, 30, [[-1, 0], [1, 0]], 0.35)
@@ -315,6 +322,15 @@ class TestTrain:
             # the INI parser rejects both; a drop at epoch 0 would never apply
             (dict(lr_drops=((0, 10.0),)), "lr_drops epochs"),
             (dict(seed=-1), "seed"),
+            # and every non-finite number
+            (dict(lr=np.nan), "lr"),
+            (dict(lr=np.inf), "lr"),
+            (dict(lam=np.nan), "lambda"),
+            (dict(lam=np.inf), "lambda"),
+            (dict(momentum=np.nan), "momentum"),
+            (dict(weight_decay=np.inf), "weight_decay"),
+            (dict(lr_drops=((2, np.nan),)), "divisors"),
+            (dict(lr_drops=((2, np.inf),)), "divisors"),
         ],
     )
     def test_values_the_config_file_rejects(self, kw, match):
