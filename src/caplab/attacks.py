@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericsError, ShapeError
 from .nn import MlpModel, forward, grad_input, softmax
-from .polytope import PerturbationBudget, _feasible_box, _uniform_particles
+from .polytope import PerturbationBudget, _feasible_box, _require_integers, _uniform_particles
 from .seeding import COUNTER_ZERO
 
 ATTACK_KINDS = ("fgsm", "pgd")
@@ -36,6 +36,7 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        _require_integers(self, "steps", "seed")
         if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be finite and >= 0")
         if not self.seed >= 0:

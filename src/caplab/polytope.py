@@ -9,7 +9,8 @@ outputs. The center is frozen while the particles sweep and refreshed once
 per outer iteration, which is what makes the per-particle updates
 independent, so one batched forward/backward steps every particle of every
 sample at once. corner_search_batch is the only search engine; find_corners
-runs it on a batch of one.
+runs it on a batch of one, and mean_diameter runs it in fixed blocks of 16
+samples.
 
 Each sample's center is one sequential accumulate over its particles in
 ascending index order, so it does not depend on how numpy would otherwise
@@ -20,6 +21,13 @@ Sample b's particles are the Philox stream at counter row b under the key
 of ``cfg.seed`` (see ``seeding``), so a sample draws the same particles
 alone or in any batch. find_corners draws at counter 0, which is the stream
 of ``np.random.Philox(cfg.seed)``.
+
+BLAS may reassociate a GEMM's sums differently for different row counts, so
+the diameter path fixes the row count: every search call it makes holds
+exactly 16 samples, the last block padded with copies of its last row. At a
+fixed shape a sample's search does not depend on its block-mates or its
+slot (tests/test_polytope.py checks this bitwise), so a row's diameter does
+not depend on the other rows.
 
 The returned particles are representatives of corner regions, not certified
 vertices of the true set.
@@ -38,6 +46,19 @@ import numpy as np
 from .errors import NumericsError, ShapeError
 from .nn import MlpModel, forward, grad_input
 from .seeding import COUNTER_ZERO, stream_counters
+
+_BLOCK = 16  # samples in every corner search of the diameter path (see above)
+
+
+def _require_integers(obj: object, *fields: str) -> None:
+    """Raise ValueError naming the first of ``fields`` on ``obj`` whose value
+    is not an integer (``operator.index`` fails on it)."""
+    for name in fields:
+        value = getattr(obj, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -116,6 +137,7 @@ class CornerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_integers(self, "n_particles", "steps", "seed")
         if not self.n_particles >= 1:
             raise ValueError("n_particles must be >= 1")
         if not self.steps >= 1:
@@ -259,9 +281,10 @@ def corner_search_batch(
     on the other samples. Semantics are sample-wise: particles of different
     samples never interact, and each sample's center reduction runs in
     ascending particle order. All B*N ascent steps per iteration are fused
-    into one batched forward/backward. BLAS may reassociate sums differently for different
-    row counts, so a sample's bits can depend on which samples share its
-    batch (~1e-15 relative); find_corners and mean_diameter run batches of one.
+    into one batched forward/backward. BLAS may reassociate sums differently
+    for different row counts, so a sample's bits can depend on B (~1e-15
+    relative); find_corners runs batches of one and the diameter path
+    batches of exactly 16.
 
     Returns (particles (B,N,d), corner logits (B,N,c), centers (B,c),
     objective history (B,T), trace of the final corner forward).
@@ -343,13 +366,33 @@ def find_corners(
     return particles, est
 
 
+def _block_diameters(
+    model: MlpModel, X: np.ndarray, counters: np.ndarray, cfg: CornerConfig
+) -> np.ndarray:
+    """(n,) diameters of the rows of X; row i searches from ``counters[i]``.
+
+    Every corner_search_batch call gets exactly _BLOCK samples. The last
+    block is padded by repeating its last real row and that row's counter,
+    and the pad results are dropped.
+    """
+    n = X.shape[0]
+    diameters = np.empty(n, dtype=np.float64)
+    for start in range(0, n, _BLOCK):
+        rows = np.minimum(np.arange(start, start + _BLOCK), n - 1)
+        _, L, _, _, _ = corner_search_batch(model, X[rows], counters[rows], cfg)
+        for b in range(min(_BLOCK, n - start)):
+            diameters[start + b] = max_pairwise_distance(L[b])
+    return diameters
+
+
 def mean_diameter(model: MlpModel, X: np.ndarray, cfg: CornerConfig, threads: int = 1) -> float:
     """Mean polytope diameter over the rows of X (the compactness metric).
 
-    Row i is a corner search on a batch of one at counter (0, i, 0, 0) under
-    ``cfg.seed``, so its diameter does not depend on the other rows; row 0
-    is find_corners(model, X[0], cfg). ``threads`` has no effect;
-    perfbench/worker.py still passes it.
+    Row i is searched at counter (0, i, 0, 0) under ``cfg.seed``, in blocks
+    of 16 rows (see the module docstring), so its diameter does not depend
+    on the other rows. It may differ from find_corners' batch-of-one search
+    in the last bits. ``threads`` has no effect; perfbench/worker.py still
+    passes it.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -357,8 +400,4 @@ def mean_diameter(model: MlpModel, X: np.ndarray, cfg: CornerConfig, threads: in
     if X.shape[0] == 0:
         raise ValueError("mean_diameter needs at least one sample")
     counters = stream_counters(np.arange(X.shape[0]), 0, 0)
-    diameters = []
-    for i in range(X.shape[0]):
-        _, L, _, _, _ = corner_search_batch(model, X[i : i + 1], counters[i : i + 1], cfg)
-        diameters.append(max_pairwise_distance(L[0]))
-    return float(np.mean(diameters))
+    return float(np.mean(_block_diameters(model, X, counters, cfg)))

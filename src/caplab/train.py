@@ -13,7 +13,8 @@ samples, so lambda keeps its per-sample scale at any batch size.
 
 Particles are re-initialized fresh every time a sample is visited, from the
 Philox stream of the global seed's key at counter (0, sample id, epoch,
-STREAM_PARTICLES); the epoch probe uses (0, probe row, epoch, STREAM_PROBE).
+STREAM_PARTICLES); the epoch probe uses (0, probe row, epoch, STREAM_PROBE)
+and runs mean_diameter's blocks of 16 samples.
 Nothing here consumes a shared random stream, so runs are bit-reproducible.
 
 ``train`` returns one ``EpochRecord`` per epoch and writes no file; the CLI
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +35,7 @@ from .attacks import AttackConfig, attack, clean_accuracy
 from .data import Dataset
 from .errors import NumericsError, ShapeError
 from .nn import MlpModel, cross_entropy_rows, forward, grad_params, softmax
-from .polytope import CornerConfig, corner_search_batch, max_pairwise_distance
+from .polytope import CornerConfig, _block_diameters, _require_integers, corner_search_batch
 from .seeding import (
     STREAM_ATTACK,
     STREAM_PARTICLES,
@@ -64,6 +66,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.baseline_kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline_kind {self.baseline_kind!r}")
+        _require_integers(self, "epochs", "batch_size", "probe_size", "seed")
         if not self.epochs >= 0:
             raise ValueError("epochs must be >= 0")
         if not (self.lr > 0 and math.isfinite(self.lr)):
@@ -78,7 +81,10 @@ class TrainConfig:
             raise ValueError("probe_size must be >= 0")
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
-        epochs_seen = [e for e, _ in self.lr_drops]
+        try:
+            epochs_seen = [operator.index(e) for e, _ in self.lr_drops]
+        except TypeError:
+            raise ValueError("lr_drops epochs must be integers") from None
         if epochs_seen != sorted(set(epochs_seen)) or not all(e >= 1 for e in epochs_seen):
             raise ValueError("lr_drops epochs must be positive and strictly increasing")
         if not all(div > 0 and math.isfinite(div) for _, div in self.lr_drops):
@@ -170,8 +176,7 @@ def _probe_mean_diameter(
     model: MlpModel, probe: np.ndarray, search: CornerConfig, epoch: int
 ) -> float:
     counters = stream_counters(np.arange(probe.shape[0]), epoch, STREAM_PROBE)
-    _, L, _, _, _ = corner_search_batch(model, probe, counters, search)
-    return float(np.mean([max_pairwise_distance(L[i]) for i in range(L.shape[0])]))
+    return float(np.mean(_block_diameters(model, probe, counters, search)))
 
 
 def _check_fit(model: MlpModel, dataset: Dataset, name: str = "model") -> None:

@@ -33,7 +33,7 @@ from caplab import (
 )
 from caplab.cli import main as cli_main
 from caplab.nn import softmax
-from caplab.polytope import corner_search_batch, max_pairwise_distance
+from caplab.polytope import _BLOCK, _block_diameters, corner_search_batch, max_pairwise_distance
 from caplab.seeding import derive_seed, stream_counters
 from oracles import cross_entropy, one_hot, preactivations
 
@@ -229,8 +229,8 @@ def test_criterion_2_corner_search_vertex_oracle():
 
 def test_criterion_3_feasibility_and_determinism():
     """1000 randomized searches with zero exact l-inf violations, plus, on 50
-    seeded runs, bit-identical reruns of every row's search and a
-    mean_diameter bit-equal to the mean of those per-row diameters."""
+    seeded runs, bit-identical reruns of every row's search, and per-row
+    diameters and a mean_diameter bit-equal to those of the searches."""
     rng = np.random.default_rng(3003)
     violations = 0
     for _ in range(1000):
@@ -257,9 +257,11 @@ def test_criterion_3_feasibility_and_determinism():
         diameters = []
         counters = stream_counters(np.arange(len(X)), 0, 0)
         for i in range(len(X)):
-            # mean_diameter's row i: a search on that row alone at counter (0, i, 0, 0)
-            p1, l1, c1, _, _ = corner_search_batch(model, X[i : i + 1], counters[i : i + 1], cfg)
-            p2, l2, c2, _, _ = corner_search_batch(model, X[i : i + 1], counters[i : i + 1], cfg)
+            # mean_diameter's row i: a search on that row alone, in a block padded
+            # with copies of itself, at counter (0, i, 0, 0)
+            block = (np.tile(X[i], (_BLOCK, 1)), np.tile(counters[i], (_BLOCK, 1)))
+            p1, l1, c1, _, _ = corner_search_batch(model, *block, cfg)
+            p2, l2, c2, _, _ = corner_search_batch(model, *block, cfg)
             d1, d2 = max_pairwise_distance(l1[0]), max_pairwise_distance(l2[0])
             if not (
                 np.array_equal(p1, p2)
@@ -269,6 +271,8 @@ def test_criterion_3_feasibility_and_determinism():
             ):
                 mismatches += 1
             diameters.append(d1)
+        if _block_diameters(model, X, counters, cfg).tolist() != diameters:
+            mismatches += 1
         if mean_diameter(model, X, cfg) != pytest.approx(np.mean(diameters), abs=0):
             mismatches += 1
     ok = violations == 0 and mismatches == 0

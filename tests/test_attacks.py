@@ -184,6 +184,12 @@ class TestPgd:
         for kind in ("fgsm", "pgd"):
             with pytest.raises(ValueError, match="seed"):
                 AttackConfig(kind, epsilon=0.1, step_size=0.1, steps=5, seed=-1)
+        # non-integer steps and seeds
+        with pytest.raises(ValueError, match="steps"):
+            AttackConfig("pgd", 0.1, 0.02, steps=2.5)
+        for kind in ("fgsm", "pgd"):
+            with pytest.raises(ValueError, match="seed"):
+                AttackConfig(kind, epsilon=0.1, step_size=0.1, steps=5, seed=0.5)
 
 
 class TestFeasibility:

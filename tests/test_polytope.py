@@ -22,7 +22,13 @@ from caplab import (
     mean_diameter,
     project,
 )
-from caplab.polytope import _mean_ascending, corner_search_batch, max_pairwise_distance
+from caplab.polytope import (
+    _BLOCK,
+    _block_diameters,
+    _mean_ascending,
+    corner_search_batch,
+    max_pairwise_distance,
+)
 from caplab.seeding import stream_counters
 from oracles import corner_search_reference, empirical_center, mean_ascending
 
@@ -53,6 +59,10 @@ class TestBudget:
             (dict(eta=np.nan), "eta"),
             (dict(eta=np.inf), "eta"),
             (dict(seed=-1), "seed"),
+            # non-integer counts and seeds, which numpy would reject only at the draw
+            (dict(n_particles=2.5), "n_particles"),
+            (dict(steps=2.5), "steps"),
+            (dict(seed=1.5), "seed"),
         ],
     )
     def test_corner_config_rejects_what_the_config_file_rejects(self, kw, match):
@@ -469,26 +479,63 @@ class TestDiameter:
         assert est.distances.tolist() == pytest.approx(to_center, rel=1e-12, abs=0)
 
 
+def alone_in_block(model, x, counter, cfg):
+    """The diameter path's definition of one sample's search: the sample
+    alone, in a block padded with copies of itself."""
+    return corner_search_batch(
+        model, np.tile(x, (_BLOCK, 1)), np.tile(counter, (_BLOCK, 1)), cfg
+    )
+
+
+class TestBlockIndependence:
+    @pytest.mark.parametrize(
+        "dims, n, t",
+        [([2, 32, 32, 3], 10, 10), ([3, 8, 3], 4, 6), ([2, 6, 2], 3, 4), ([3, 12, 3], 4, 5)],
+        ids=["preset", "many-samples-a", "many-samples-b", "criterion-3"],
+    )
+    def test_sample_does_not_depend_on_block_mates_or_slot(self, dims, n, t):
+        # bitwise, on the installed BLAS: a failure here means the diameter
+        # path's rows depend on which rows share their block
+        model = init_mlp(41, dims)
+        rng = np.random.default_rng(42)
+        d = dims[0]
+        cfg = CornerConfig(n, t, 0.02, PerturbationBudget(0.1), seed=7)
+        for _ in range(20):
+            x = rng.normal(0.0, 0.2, d)
+            counter = stream_counters([int(rng.integers(0, 300))], 0, 0)[0]
+            want = alone_in_block(model, x, counter, cfg)[:4]
+            for slot in (0, _BLOCK // 2, _BLOCK - 1):
+                X = rng.normal(0.0, 0.2, (_BLOCK, d))
+                counters = stream_counters(rng.integers(0, 300, _BLOCK), 0, 0)
+                X[slot], counters[slot] = x, counter
+                got = corner_search_batch(model, X, counters, cfg)[:4]
+                # particles, logits, center, objective history
+                for g, w in zip(got, want):
+                    assert g[slot].tobytes() == w[0].tobytes()
+
+
 class TestManySamples:
     @staticmethod
     def row_diameter(model, x, counter, cfg):
-        _, L, _, _, _ = corner_search_batch(model, x[None, :], counter[None, :], cfg)
+        _, L, _, _, _ = alone_in_block(model, x, counter, cfg)
         return max_pairwise_distance(L[0])
 
     def test_rows_do_not_depend_on_batch_composition(self):
-        # row j of mean_diameter is a search on that row alone at counter
-        # (0, j, 0, 0), whichever other rows share the call
+        # row j of mean_diameter is a search on that row alone, in a block
+        # padded with copies of itself, at counter (0, j, 0, 0), whichever
+        # other rows share the call
         model = init_mlp(17, [3, 8, 3])
         rng = np.random.default_rng(32)
         X = rng.standard_normal((7, 3))
         cfg = CornerConfig(4, 6, 0.05, PerturbationBudget(0.15), seed=9)
-        counters = stream_counters(np.arange(7), 0, 0)
-        for rows in (range(7), rng.permutation(7), [5, 2], [3]):
+        # the last row set spans three blocks, the last one padded
+        for rows in (range(7), rng.permutation(7), [5, 2], [3], rng.integers(0, 7, 37)):
             rows = [int(i) for i in rows]
-            want = np.mean(
-                [self.row_diameter(model, X[i], counters[j], cfg) for j, i in enumerate(rows)]
-            )
-            assert mean_diameter(model, X[rows], cfg) == pytest.approx(want, abs=0)
+            counters = stream_counters(np.arange(len(rows)), 0, 0)
+            want = [self.row_diameter(model, X[i], counters[j], cfg) for j, i in enumerate(rows)]
+            got = _block_diameters(model, X[rows], counters, cfg)
+            assert got.tolist() == want
+            assert mean_diameter(model, X[rows], cfg) == pytest.approx(np.mean(want), abs=0)
 
     def test_mean_diameter_matches_individual_runs(self):
         model = init_mlp(16, [2, 6, 2])
@@ -497,9 +544,26 @@ class TestManySamples:
         cfg = CornerConfig(3, 4, 0.05, PerturbationBudget(0.1), seed=9)
         counters = stream_counters(np.arange(5), 0, 0)
         diameters = [self.row_diameter(model, x, c, cfg) for x, c in zip(X, counters)]
-        # row 0 is find_corners on that row
-        assert diameters[0] == find_corners(model, X[0], cfg)[1].diameter
+        assert _block_diameters(model, X, counters, cfg).tolist() == diameters
         assert mean_diameter(model, X, cfg) == pytest.approx(np.mean(diameters), abs=0)
+        # find_corners is a batch of one at counter 0
+        _, L, _, _, _ = corner_search_batch(model, X[:1], counters[:1], cfg)
+        assert max_pairwise_distance(L[0]) == find_corners(model, X[0], cfg)[1].diameter
+
+    def test_every_search_holds_exactly_16_samples(self, monkeypatch):
+        sizes = []
+
+        def spy(model, X, counters, cfg):
+            sizes.append(X.shape[0])
+            return corner_search_batch(model, X, counters, cfg)
+
+        monkeypatch.setattr("caplab.polytope.corner_search_batch", spy)
+        model = init_mlp(16, [2, 6, 2])
+        cfg = CornerConfig(3, 4, 0.05, PerturbationBudget(0.1), seed=9)
+        for n in (1, 7, 16, 17, 37):
+            sizes.clear()
+            mean_diameter(model, np.random.default_rng(n).standard_normal((n, 2)), cfg)
+            assert sizes == [16] * -(-n // 16)
 
     def test_mean_diameter_of_no_rows_is_value_error(self):
         model = init_mlp(16, [2, 6, 2])

@@ -24,8 +24,8 @@ from caplab import (
     train,
 )
 from caplab.nn import cross_entropy_rows
-from caplab.polytope import corner_search_batch
-from caplab.seeding import STREAM_PARTICLES, stream_counters
+from caplab.polytope import corner_search_batch, max_pairwise_distance
+from caplab.seeding import STREAM_PARTICLES, STREAM_PROBE, stream_counters
 from caplab.train import _batch_gradients
 from oracles import cross_entropy, label_index, one_hot
 
@@ -331,6 +331,13 @@ class TestTrain:
             (dict(weight_decay=np.inf), "weight_decay"),
             (dict(lr_drops=((2, np.nan),)), "divisors"),
             (dict(lr_drops=((2, np.inf),)), "divisors"),
+            # and every non-integer count or seed
+            (dict(epochs=2.5), "epochs"),
+            (dict(batch_size=3.5), "batch_size"),
+            (dict(probe_size=1.5), "probe_size"),
+            (dict(seed=0.5), "seed"),
+            # a drop at epoch 2.5 would never apply
+            (dict(lr_drops=((2.5, 10.0),)), "lr_drops epochs"),
         ],
     )
     def test_values_the_config_file_rejects(self, kw, match):
@@ -345,4 +352,17 @@ class TestTrain:
             records = train(model, ds, cfg)
             assert records[0].mean_diameter is not None
             assert records[0].mean_diameter >= 0
+
+    def test_probe_of_one_block_is_one_search(self):
+        # at probe_size 16 the probe is one corner_search_batch call on the
+        # probe rows, keyed by the run seed at (0, row, epoch, STREAM_PROBE)
+        ds = gen_blobs(18, 20, [[-1, 0], [1, 0]], 0.35)
+        model = init_mlp(6, [2, 4, 2])
+        cfg = clean_cfg(epochs=2, baseline_kind="cap", lam=0.2, probe_size=16, seed=3)
+        records = train(model, ds, cfg)
+        counters = stream_counters(np.arange(16), 2, STREAM_PROBE)
+        search = dataclasses.replace(cfg.polytope, seed=3)
+        _, L, _, _, _ = corner_search_batch(model, ds.features[:16], counters, search)
+        want = float(np.mean([max_pairwise_distance(L[i]) for i in range(16)]))
+        assert records[-1].mean_diameter == want
 
