@@ -17,6 +17,8 @@ so results are deterministic and bit-reproducible for identical inputs.
 The forward trace is the list of layer inputs, each 2-D, and nothing else:
 the backward pass reads a relu layer's mask off the next layer's input.
 The input gradient is one row exactly when its cotangent is one (c,) vector.
+Each pass builds its layer arrays in place in buffers it allocated itself; no
+pass writes into an array its caller passed.
 """
 
 from __future__ import annotations
@@ -132,11 +134,11 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray
     trace = []
     for layer in model.layers:
         trace.append(a)
-        z = a @ layer.weight.T + layer.bias
+        # the GEMM output is fresh, so the bias add and relu run in place
+        a = a @ layer.weight.T
+        a += layer.bias
         if layer.activation == "relu":
-            a = np.maximum(z, 0.0)
-        else:
-            a = z
+            np.maximum(a, 0.0, out=a)
     logits = a[0] if squeeze else a
     return logits, trace
 
@@ -159,6 +161,18 @@ def _cotangent_rows(
     return cot
 
 
+def _masked(delta: np.ndarray, cot: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """``delta * (nxt > 0)``: the relu mask read off the next layer's input.
+
+    A ``delta @ W`` product is fresh and is masked in place. ``cot`` may be
+    the caller's cotangent or a view of it, so it is masked into a new array.
+    """
+    if delta is cot:
+        return delta * (nxt > 0.0)
+    np.multiply(delta, nxt > 0.0, out=delta)
+    return delta
+
+
 def grad_params(
     model: MlpModel, trace: list[np.ndarray], cotangent: np.ndarray
 ) -> list[np.ndarray]:
@@ -169,12 +183,13 @@ def grad_params(
     pre-activation of 0.0 blocks the gradient. The pass stops at layer 0
     and forms no input gradient; that is ``grad_input``.
     """
-    delta = _cotangent_rows(model, trace, cotangent)
+    cot = _cotangent_rows(model, trace, cotangent)
+    delta = cot
     grads: list[np.ndarray] = []
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         if layer.activation == "relu":
-            delta = delta * (trace[k + 1] > 0.0)
+            delta = _masked(delta, cot, trace[k + 1])
         grads[:0] = [delta.T @ trace[k], delta.sum(axis=0)]
         if k:
             delta = delta @ layer.weight
@@ -189,11 +204,12 @@ def grad_input(model: MlpModel, trace: list[np.ndarray], cotangent: np.ndarray) 
     bias gradients that corner search and the attacks do not use. It returns
     one (d,) row if the cotangent is one (c,) vector, else (B, d) rows.
     """
-    delta = _cotangent_rows(model, trace, cotangent)
+    cot = _cotangent_rows(model, trace, cotangent)
+    delta = cot
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         if layer.activation == "relu":
-            delta = delta * (trace[k + 1] > 0.0)
+            delta = _masked(delta, cot, trace[k + 1])
         delta = delta @ layer.weight
     return delta[0] if np.ndim(cotangent) == 1 else delta
 

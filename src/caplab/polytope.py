@@ -325,6 +325,7 @@ def corner_search_batch(
             i, n = int(bad[0, 0]), int(bad[0, 1])
             raise NumericsError(f"non-finite ascent gradient for particle {n} of sample {i}")
         P = np.clip(P + eta * g, lower, upper)
+        del g, trace  # so that only one trace is alive during the forward
         logits, trace = forward(model, (Xb + P).reshape(B * N, d))
         L = logits.reshape(B, N, c)
         centers = _mean_ascending(L, axis=1)
@@ -380,8 +381,10 @@ def _block_diameters(
     for start in range(0, n, _BLOCK):
         rows = np.minimum(np.arange(start, start + _BLOCK), n - 1)
         _, L, _, _, _ = corner_search_batch(model, X[rows], counters[rows], cfg)
-        for b in range(min(_BLOCK, n - start)):
-            diameters[start + b] = max_pairwise_distance(L[b])
+        L = L[: n - start]
+        # max_pairwise_distance of each sample, as one expression over the block
+        diffs = L[:, :, None, :] - L[:, None, :, :]
+        diameters[start : start + _BLOCK] = np.sqrt((diffs**2).sum(axis=3)).max(axis=(1, 2))
     return diameters
 
 

@@ -112,6 +112,21 @@ def corner_search_reference(model: MlpModel, X: np.ndarray, counters, cfg: Corne
     return P, L, centers, history
 
 
+def forward_out_of_place(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``forward`` with each layer step in a new array: ``z = a @ W.T + b``,
+    then ``a = np.maximum(z, 0)`` for relu. Returns (logits, trace)."""
+    a = np.asarray(x, dtype=np.float64)
+    squeeze = a.ndim == 1
+    if squeeze:
+        a = a.reshape(1, -1)
+    trace = []
+    for layer in model.layers:
+        trace.append(a)
+        z = a @ layer.weight.T + layer.bias
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return (a[0] if squeeze else a), trace
+
+
 def preactivations(model: MlpModel, trace: list[np.ndarray]) -> list[np.ndarray]:
     """Each layer's pre-activation ``trace[k] @ W.T + b``, recomputed from
     the trace (the forward pass keeps only the layer inputs)."""

@@ -22,7 +22,7 @@ from caplab import (
 )
 from caplab.nn import model_from_dict, model_to_dict
 from mutations import checkpoint_docs
-from oracles import backward, cross_entropy, one_hot, preactivations
+from oracles import backward, cross_entropy, forward_out_of_place, one_hot, preactivations
 
 
 def naive_forward(model, x):
@@ -361,6 +361,60 @@ class TestGradients:
         _, trace = forward(model_a, np.zeros(2))
         with pytest.raises(ShapeError):
             grad_params(model_b, trace, np.zeros(2))
+
+
+def read_only(a):
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+class TestInPlacePasses:
+    """The passes build their layer arrays in place; the bits are those of
+    the out-of-place expressions, and no caller array is written."""
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("rows", [1, 10, 160, 440, 1280])
+    def test_same_bits_and_inputs_unchanged(self, activation, rows):
+        # the trainer's widths, at the single-search, probe, tail-batch and
+        # full-batch row counts
+        rng = np.random.default_rng(rows)
+        model = init_mlp(5, [2, 32, 32, 3], hidden_activation=activation)
+        for layer in model.layers:
+            layer.bias[:] = rng.normal(0.0, 0.1, layer.out_dim)
+        X = read_only(rng.normal(0.0, 0.5, (rows, 2)))
+        kept_x = X.copy()
+        cot2 = rng.standard_normal((rows, 3))
+        cotangents = [read_only(cot2), read_only(cot2.T.copy()).T]  # C and F order
+        inputs = [X] + ([X[0]] if rows == 1 else [])
+        if rows == 1:
+            cotangents.append(read_only(cot2[0]))
+        for x in inputs:
+            logits, trace = forward(model, x)
+            want_logits, want_trace = forward_out_of_place(model, x)
+            assert logits.shape == want_logits.shape
+            assert logits.tobytes() == want_logits.tobytes()
+            assert len(trace) == len(want_trace)
+            for a, b in zip(trace, want_trace):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a in trace:
+                a.flags.writeable = False
+            kept = [a.copy() for a in trace]
+            for cot in cotangents:
+                kept_cot = cot.copy()
+                params, full = backward(model, trace, cot)
+                want_input = full[0] if cot.ndim == 1 else full
+                got_input = grad_input(model, trace, cot)
+                assert got_input.shape == want_input.shape
+                assert got_input.tobytes() == want_input.tobytes()
+                got = grad_params(model, trace, cot)
+                assert len(got) == len(params)
+                for a, b in zip(got, params):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert cot.tobytes() == kept_cot.tobytes()
+            for a, b in zip(trace, kept):
+                assert a.tobytes() == b.tobytes()
+        assert X.tobytes() == kept_x.tobytes()
 
 
 class TestSerialization:

@@ -3,6 +3,8 @@ dynamics against analytic and enumeration oracles, feasibility, determinism."""
 
 import itertools
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -514,6 +516,41 @@ class TestBlockIndependence:
                     assert g[slot].tobytes() == w[0].tobytes()
 
 
+class TestSearchMemory:
+    def test_search_keeps_one_trace_alive(self):
+        # the next step's forward runs after the last step's trace is
+        # dropped: the traced peak stays near one trace plus its logits and
+        # the backward pass's two (B*N, width) products
+        model = init_mlp(0, [2, 32, 32, 3])
+        X = np.random.default_rng(3).normal(0.0, 0.2, (128, 2))
+        counters = stream_counters(np.arange(128), 0, 0)
+        cfg = CornerConfig(10, 10, 0.02, PerturbationBudget(0.1), seed=1)
+        corner_search_batch(model, X, counters, cfg)  # fill the key cache
+        tracemalloc.start()
+        try:
+            _, L, _, _, trace = corner_search_batch(model, X, counters, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one = sum(a.nbytes for a in trace) + L.nbytes
+        assert peak < 2.5 * one, f"peak {peak / one:.2f} x one trace plus logits"
+
+    def test_no_earlier_trace_is_alive_at_a_forward(self, monkeypatch):
+        refs, alive = [], []
+
+        def spy(model, x):
+            alive.append(sum(r() is not None for r in refs))
+            logits, trace = forward(model, x)
+            refs.extend(weakref.ref(a) for a in trace)
+            return logits, trace
+
+        monkeypatch.setattr("caplab.polytope.forward", spy)
+        model = init_mlp(0, [2, 8, 8, 3])
+        cfg = CornerConfig(4, 5, 0.02, PerturbationBudget(0.1), seed=1)
+        corner_search_batch(model, np.zeros((3, 2)), stream_counters([0, 1, 2], 0, 0), cfg)
+        assert alive == [0] * 6
+
+
 class TestManySamples:
     @staticmethod
     def row_diameter(model, x, counter, cfg):
@@ -564,6 +601,24 @@ class TestManySamples:
             sizes.clear()
             mean_diameter(model, np.random.default_rng(n).standard_normal((n, 2)), cfg)
             assert sizes == [16] * -(-n // 16)
+
+    @pytest.mark.parametrize("n_particles", [1, 2, 10])
+    @pytest.mark.parametrize("c", [3, 5, 9])
+    def test_block_diameters_are_max_pairwise_distance(self, n_particles, c):
+        # bitwise; at c = 9 numpy sums each squared difference pairwise
+        model = init_mlp(c, [2, 8, c])
+        X = np.random.default_rng(c).standard_normal((20, 2))
+        cfg = CornerConfig(n_particles, 3, 0.05, PerturbationBudget(0.1), seed=2)
+        counters = stream_counters(np.arange(20), 0, 0)
+        want = []
+        for start in (0, _BLOCK):
+            rows = np.minimum(np.arange(start, start + _BLOCK), 19)
+            _, L, _, _, _ = corner_search_batch(model, X[rows], counters[rows], cfg)
+            want += [max_pairwise_distance(L[b]) for b in range(min(_BLOCK, 20 - start))]
+        got = _block_diameters(model, X, counters, cfg)
+        assert got.tobytes() == np.array(want).tobytes()
+        if n_particles == 1:
+            assert got.tobytes() == np.zeros(20).tobytes()
 
     def test_mean_diameter_of_no_rows_is_value_error(self):
         model = init_mlp(16, [2, 6, 2])
