@@ -8,7 +8,6 @@ with a label array; rows are attacked independently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +16,8 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericsError, ShapeError
 from .nn import MlpModel, forward, grad_input, softmax
-from .polytope import PerturbationBudget, _feasible_box, _require_integers, _uniform_particles
+from .polytope import _COUNT, _INDEX, _POSITIVE
+from .polytope import PerturbationBudget, _feasible_box, _uniform_particles
 from .seeding import COUNTER_ZERO
 
 ATTACK_KINDS = ("fgsm", "pgd")
@@ -36,16 +36,11 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        _require_integers(self, "steps", "seed")
-        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be finite and >= 0")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
-        if self.kind == "pgd":
-            if not self.steps >= 1:
-                raise ValueError("pgd needs steps >= 1")
-            if not (self.step_size > 0 and math.isfinite(self.step_size)):
-                raise ValueError("pgd needs a finite step_size > 0")
+        _INDEX.check(self.seed, "seed")
+        if self.kind == "pgd":  # fgsm's one step has size epsilon: it ignores both
+            _POSITIVE.check(self.step_size, "step_size")
+            _COUNT.check(self.steps, "steps")
+        self.budget()  # the budget checks epsilon and input_clip
 
     def budget(self) -> PerturbationBudget:
         return PerturbationBudget(epsilon=self.epsilon, input_clip=self.input_clip)

@@ -34,7 +34,7 @@ from .config import (
 from .data import Dataset, load_csv
 from .errors import CapLabError, ConfigError, NumericsError
 from .nn import MlpModel, load_model, save_model
-from .polytope import find_corners, mean_diameter
+from .polytope import _INDEX, find_corners, mean_diameter
 from .svg import corner_scatter_svg
 from .train import EpochRecord, _check_fit, train
 
@@ -187,8 +187,7 @@ def cmd_corners(args) -> int:
 
     cfg = build_corner_config(rc)
     if args.corner_seed is not None:
-        if args.corner_seed < 0:
-            raise ConfigError(f"--corner-seed: must be >= 0, got {args.corner_seed}")
+        _INDEX.check(args.corner_seed, "--corner-seed:")
         cfg = dataclasses.replace(cfg, seed=args.corner_seed)
     out_dir.mkdir(parents=True, exist_ok=True)
 

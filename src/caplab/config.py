@@ -6,8 +6,9 @@ failure mode this prevents).
 
 ``_SCHEMA`` is the one description of every key: its row is
 ``(parser, default)``. The parser turns the key's text into the typed
-value and range-checks it; a key with the default ``REQUIRED`` must be
-set. Loading parses every key that is set, even one the chosen data kind
+value and range-checks it with the rule the config dataclass applies to
+the field the key feeds; a key with the default ``REQUIRED`` must be set.
+Loading parses every key that is set, even one the chosen data kind
 does not use, and fills in the defaults, so the builders and callers of
 ``RunConfig.section`` read typed values and errors name ``section.key``.
 Two defaults are derived once at load: ``attack.epsilon`` and
@@ -44,6 +45,7 @@ from .attacks import ATTACK_KINDS, AttackConfig
 from .data import Dataset, gen_blobs, gen_moons, load_csv, split
 from .errors import ConfigError
 from .nn import ACTIVATIONS, MlpModel, init_mlp
+from .polytope import _COUNT, _INDEX, _NONNEGATIVE, _POSITIVE, _check_clip, _Number
 from .polytope import CornerConfig, PerturbationBudget
 from .seeding import (
     STREAM_DATA_TEST,
@@ -52,36 +54,11 @@ from .seeding import (
     STREAM_MODEL_INIT,
     derive_seed,
 )
-from .train import BASELINE_KINDS, TrainConfig
+from .train import BASELINE_KINDS, TrainConfig, _check_lr_drops
 
 _EVAL_TOKEN = re.compile(r"^(fgsm|pgd-(\d+))$")
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-@dataclass(frozen=True)
-class _Number:
-    """Parser for a finite int or float, bounded below by ``low`` (``> low``
-    when ``strict``, else ``>= low``) and, if given, strictly below ``high``."""
-
-    cast: type
-    low: float = 0
-    strict: bool = True
-    high: Optional[float] = None
-
-    def __call__(self, raw: str):
-        try:
-            value = self.cast(raw)
-        except ValueError:
-            noun = "an integer" if self.cast is int else "a number"
-            raise ValueError(f"expected {noun}, got {raw!r}") from None
-        if value != value or value in (math.inf, -math.inf):
-            raise ValueError("must be finite")
-        if value <= self.low if self.strict else value < self.low:
-            raise ValueError(f"must be {'>' if self.strict else '>='} {self.low}, got {value}")
-        if self.high is not None and value >= self.high:
-            raise ValueError(f"must be < {self.high}, got {value}")
-        return value
 
 
 def _choice(*options: str) -> Callable:
@@ -107,11 +84,7 @@ def _column(raw: str) -> int | str:
         return raw
 
 
-def _finite(tok: str) -> float:
-    value = float(tok)
-    if not math.isfinite(value):
-        raise ValueError(tok)
-    return value
+_finite = _Number(float, -math.inf, strict=False)  # any finite number
 
 
 def parse_widths(raw: str) -> list[int]:
@@ -154,11 +127,7 @@ def parse_lr_drops(raw: str) -> tuple[tuple[int, float], ...]:
             drops.append((int(e), _finite(d)))
         except ValueError:
             raise ValueError(f"bad entry {part!r}") from None
-    epochs = [e for e, _ in drops]
-    if epochs != sorted(set(epochs)) or any(e < 1 for e in epochs):
-        raise ValueError("epochs must be positive and strictly increasing")
-    if any(d <= 0 for _, d in drops):
-        raise ValueError("divisors must be > 0")
+    _check_lr_drops(drops)
     return tuple(drops)
 
 
@@ -170,8 +139,7 @@ def parse_clip(raw: str) -> Optional[tuple[float, float]]:
         lo, hi = (_finite(tok) for tok in raw.split(","))
     except ValueError:
         raise ValueError(f"expected 'lo,hi' or none, got {raw!r}") from None
-    if not lo < hi:
-        raise ValueError("lo must be < hi")
+    _check_clip((lo, hi))
     return (lo, hi)
 
 
@@ -189,8 +157,10 @@ def parse_eval_tokens(raw: str) -> list[tuple[str, int]]:
             out.append(("fgsm", 1))
         else:
             steps = int(m.group(2))
-            if steps < 1:
-                raise ValueError(f"pgd steps must be >= 1 in {tok!r}")
+            try:
+                _COUNT.check(steps)
+            except ValueError:
+                raise ValueError(f"pgd steps must be >= 1 in {tok!r}") from None
             out.append(("pgd", steps))
     if not out:
         raise ValueError("suite is empty")
@@ -203,16 +173,16 @@ REQUIRED = object()  # schema default of a key that must be set
 # returns the typed value or raises ValueError
 _SCHEMA: dict[str, dict[str, tuple[Callable, object]]] = {
     "run": {
-        "seed": (_Number(int, strict=False), 0),
+        "seed": (_INDEX, 0),
         "out": (str, None),
     },
     "data": {
         "kind": (_choice("blobs", "moons", "csv"), REQUIRED),
-        "n_per_class": (_Number(int), None),
-        "test_n_per_class": (_Number(int), None),
+        "n_per_class": (_COUNT, None),
+        "test_n_per_class": (_COUNT, None),
         "centers": (parse_centers, None),
-        "sigma": (_Number(float), None),
-        "noise": (_Number(float, strict=False), None),
+        "sigma": (_POSITIVE, None),
+        "noise": (_NONNEGATIVE, None),
         "path": (str, None),
         "label_column": (_column, -1),
         "has_header": (_bool, False),
@@ -225,33 +195,33 @@ _SCHEMA: dict[str, dict[str, tuple[Callable, object]]] = {
     },
     "train": {
         "kind": (_choice(*BASELINE_KINDS), REQUIRED),
-        "epochs": (_Number(int, strict=False), REQUIRED),
-        "lr": (_Number(float), REQUIRED),
+        "epochs": (_INDEX, REQUIRED),
+        "lr": (_POSITIVE, REQUIRED),
         "lr_drops": (parse_lr_drops, ()),
-        "lambda": (_Number(float, strict=False), 0.6),
-        "batch_size": (_Number(int), 128),
-        "momentum": (_Number(float, strict=False), 0.9),
-        "weight_decay": (_Number(float, strict=False), 0.0005),
-        "probe_size": (_Number(int, strict=False), 0),
+        "lambda": (_NONNEGATIVE, 0.6),
+        "batch_size": (_COUNT, 128),
+        "momentum": (_NONNEGATIVE, 0.9),
+        "weight_decay": (_NONNEGATIVE, 0.0005),
+        "probe_size": (_INDEX, 0),
     },
     "polytope": {
-        "particles": (_Number(int), 10),
-        "steps": (_Number(int), 40),
-        "eta": (_Number(float, strict=False), 2 / 255),
-        "epsilon": (_Number(float, strict=False), 8 / 255),
+        "particles": (_COUNT, 10),
+        "steps": (_COUNT, 40),
+        "eta": (_NONNEGATIVE, 2 / 255),
+        "epsilon": (_NONNEGATIVE, 8 / 255),
         "input_clip": (parse_clip, None),  # derived for scaled csv data
     },
     "attack": {
         "kind": (_choice(*ATTACK_KINDS), "pgd"),
-        "epsilon": (_Number(float, strict=False), None),  # derived: polytope epsilon
-        "alpha": (_Number(float), 2 / 255),
-        "steps": (_Number(int), 10),
+        "epsilon": (_NONNEGATIVE, None),  # derived: polytope epsilon
+        "alpha": (_POSITIVE, 2 / 255),
+        "steps": (_COUNT, 10),
         "random_start": (_bool, True),
     },
     "eval": {
         "attacks": (parse_eval_tokens, [("fgsm", 1), ("pgd", 20)]),
-        "epsilon": (_Number(float, strict=False), None),  # derived: polytope epsilon
-        "alpha": (_Number(float), 2 / 255),
+        "epsilon": (_NONNEGATIVE, None),  # derived: polytope epsilon
+        "alpha": (_POSITIVE, 2 / 255),
         "random_start": (_bool, True),
     },
 }

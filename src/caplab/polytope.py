@@ -50,15 +50,59 @@ from .seeding import COUNTER_ZERO, stream_counters
 _BLOCK = 16  # samples in every corner search of the diameter path (see above)
 
 
-def _require_integers(obj: object, *fields: str) -> None:
-    """Raise ValueError naming the first of ``fields`` on ``obj`` whose value
-    is not an integer (``operator.index`` fails on it)."""
-    for name in fields:
-        value = getattr(obj, name)
+@dataclass(frozen=True)
+class _Number:
+    """Range rule for a finite int or float, bounded below by ``low`` (``> low``
+    when ``strict``, else ``>= low``) and, if given, strictly below ``high``.
+    Calling it parses a config file's text; ``check(value, field)`` tests a
+    value, and its error message then begins with the field's name."""
+
+    cast: type
+    low: float = 0
+    strict: bool = True
+    high: Optional[float] = None
+
+    def __call__(self, raw: str):
         try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            value = self.cast(raw)
+        except ValueError:
+            noun = "an integer" if self.cast is int else "a number"
+            raise ValueError(f"expected {noun}, got {raw!r}") from None
+        self.check(value)
+        return value
+
+    def check(self, value, field: str = "") -> None:
+        name = f"{field} " if field else ""
+        if self.cast is int:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name}must be an integer, got {value!r}") from None
+        if value != value or value in (math.inf, -math.inf):
+            raise ValueError(f"{name}must be finite")
+        if value <= self.low if self.strict else value < self.low:
+            raise ValueError(f"{name}must be {'>' if self.strict else '>='} {self.low}, got {value}")
+        if self.high is not None and value >= self.high:
+            raise ValueError(f"{name}must be < {self.high}, got {value}")
+
+
+# The config dataclasses check their numbers with these rules, and
+# config._SCHEMA gives each key the rule of the field it feeds.
+_COUNT = _Number(int)  # an integer > 0
+_INDEX = _Number(int, strict=False)  # an integer >= 0
+_POSITIVE = _Number(float)  # a finite number > 0
+_NONNEGATIVE = _Number(float, strict=False)  # a finite number >= 0
+
+
+def _check_clip(clip: Optional[tuple[float, float]], field: str = "") -> None:
+    """The input_clip rule: None, or two finite bounds with lo < hi."""
+    name = f"{field} " if field else ""
+    if clip is not None:
+        lo, hi = clip
+        if not lo < hi:
+            raise ValueError(f"{name}lo must be < hi")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name}bounds must be finite, got {clip}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +114,8 @@ class PerturbationBudget:
     input_clip: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.input_clip is not None:
-            lo, hi = self.input_clip
-            if not lo < hi:
-                raise ValueError(f"input_clip must satisfy lo < hi, got {self.input_clip}")
+        _NONNEGATIVE.check(self.epsilon, "epsilon")
+        _check_clip(self.input_clip, "input_clip")
 
 
 @dataclass
@@ -123,7 +163,7 @@ class PolytopeEstimate:
     @property
     def diameter(self) -> float:
         """Largest l2 distance between two corners."""
-        return max_pairwise_distance(self.corners)
+        return float(max_pairwise_distance(self.corners))
 
 
 @dataclass(frozen=True)
@@ -137,15 +177,10 @@ class CornerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_integers(self, "n_particles", "steps", "seed")
-        if not self.n_particles >= 1:
-            raise ValueError("n_particles must be >= 1")
-        if not self.steps >= 1:
-            raise ValueError("steps must be >= 1")
-        if not (self.eta >= 0 and math.isfinite(self.eta)):
-            raise ValueError("eta must be finite and >= 0")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
+        _COUNT.check(self.n_particles, "n_particles")
+        _COUNT.check(self.steps, "steps")
+        _NONNEGATIVE.check(self.eta, "eta")
+        _INDEX.check(self.seed, "seed")
 
 
 def init_particles(
@@ -157,10 +192,8 @@ def init_particles(
     the same seed reproduces the same set bit-for-bit regardless of what was
     drawn elsewhere. This is find_corners' draw: counter 0 of the seed's key.
     """
-    if n_particles < 1:
-        raise ValueError("n_particles must be >= 1")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _COUNT.check(n_particles, "n_particles")
+    _COUNT.check(dim, "dim")
     particles = _uniform_particles(seed, COUNTER_ZERO, n_particles, dim, budget.epsilon)
     return ParticleSet(particles=particles[0], budget=budget)
 
@@ -337,13 +370,12 @@ def corner_search_batch(
     return P, L, centers, history, trace
 
 
-def max_pairwise_distance(corners: np.ndarray) -> float:
-    """Largest l2 distance between any two rows; 0.0 for a single row."""
+def max_pairwise_distance(corners: np.ndarray) -> np.ndarray | float:
+    """Largest l2 distance between two rows of each (N, c) matrix of a
+    (..., N, c) stack: a float for one matrix, 0.0 when it has one row."""
     corners = np.asarray(corners, dtype=np.float64)
-    if corners.shape[0] < 2:
-        return 0.0
-    diffs = corners[:, None, :] - corners[None, :, :]
-    return float(np.sqrt((diffs**2).sum(axis=2)).max())
+    diffs = corners[..., :, None, :] - corners[..., None, :, :]
+    return np.sqrt((diffs**2).sum(axis=-1)).max(axis=(-2, -1))
 
 
 def find_corners(
@@ -381,10 +413,7 @@ def _block_diameters(
     for start in range(0, n, _BLOCK):
         rows = np.minimum(np.arange(start, start + _BLOCK), n - 1)
         _, L, _, _, _ = corner_search_batch(model, X[rows], counters[rows], cfg)
-        L = L[: n - start]
-        # max_pairwise_distance of each sample, as one expression over the block
-        diffs = L[:, :, None, :] - L[:, None, :, :]
-        diameters[start : start + _BLOCK] = np.sqrt((diffs**2).sum(axis=3)).max(axis=(1, 2))
+        diameters[start : start + _BLOCK] = max_pairwise_distance(L[: n - start])
     return diameters
 
 

@@ -35,7 +35,8 @@ from .attacks import AttackConfig, attack, clean_accuracy
 from .data import Dataset
 from .errors import NumericsError, ShapeError
 from .nn import MlpModel, cross_entropy_rows, forward, grad_params, softmax
-from .polytope import CornerConfig, _block_diameters, _require_integers, corner_search_batch
+from .polytope import _COUNT, _INDEX, _NONNEGATIVE, _POSITIVE
+from .polytope import CornerConfig, _block_diameters, corner_search_batch
 from .seeding import (
     STREAM_ATTACK,
     STREAM_PARTICLES,
@@ -46,6 +47,22 @@ from .seeding import (
 )
 
 BASELINE_KINDS = ("cap", "clean", "vanilla_at")
+
+
+def _check_lr_drops(drops: tuple[tuple[int, float], ...], field: str = "") -> None:
+    """The lr_drops rule: integer epochs >= 1 in strictly increasing order,
+    each with a finite divisor > 0."""
+    name = f"{field} " if field else ""
+    try:
+        epochs = [operator.index(e) for e, _ in drops]
+    except TypeError:
+        raise ValueError(f"{name}epochs must be integers") from None
+    if epochs != sorted(set(epochs)) or any(e < 1 for e in epochs):
+        raise ValueError(f"{name}epochs must be positive and strictly increasing")
+    if not all(math.isfinite(d) for _, d in drops):
+        raise ValueError(f"{name}divisors must be finite")
+    if any(d <= 0 for _, d in drops):
+        raise ValueError(f"{name}divisors must be > 0")
 
 
 @dataclass(frozen=True)
@@ -66,29 +83,15 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.baseline_kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline_kind {self.baseline_kind!r}")
-        _require_integers(self, "epochs", "batch_size", "probe_size", "seed")
-        if not self.epochs >= 0:
-            raise ValueError("epochs must be >= 0")
-        if not (self.lr > 0 and math.isfinite(self.lr)):
-            raise ValueError("lr must be finite and > 0")
-        if not (self.lam >= 0 and math.isfinite(self.lam)):
-            raise ValueError("lambda must be finite and >= 0")
-        if not self.batch_size >= 1:
-            raise ValueError("batch_size must be >= 1")
-        if not all(v >= 0 and math.isfinite(v) for v in (self.momentum, self.weight_decay)):
-            raise ValueError("momentum and weight_decay must be finite and >= 0")
-        if not self.probe_size >= 0:
-            raise ValueError("probe_size must be >= 0")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
-        try:
-            epochs_seen = [operator.index(e) for e, _ in self.lr_drops]
-        except TypeError:
-            raise ValueError("lr_drops epochs must be integers") from None
-        if epochs_seen != sorted(set(epochs_seen)) or not all(e >= 1 for e in epochs_seen):
-            raise ValueError("lr_drops epochs must be positive and strictly increasing")
-        if not all(div > 0 and math.isfinite(div) for _, div in self.lr_drops):
-            raise ValueError("lr_drops divisors must be finite and > 0")
+        _INDEX.check(self.epochs, "epochs")
+        _POSITIVE.check(self.lr, "lr")
+        _check_lr_drops(self.lr_drops, "lr_drops")
+        _INDEX.check(self.seed, "seed")
+        _NONNEGATIVE.check(self.lam, "lambda")
+        _COUNT.check(self.batch_size, "batch_size")
+        _NONNEGATIVE.check(self.momentum, "momentum")
+        _NONNEGATIVE.check(self.weight_decay, "weight_decay")
+        _INDEX.check(self.probe_size, "probe_size")
         if self.baseline_kind == "vanilla_at" and self.attack is None:
             raise ValueError("vanilla_at requires an attack config")
 

@@ -191,6 +191,18 @@ class TestPgd:
             with pytest.raises(ValueError, match="seed"):
                 AttackConfig(kind, epsilon=0.1, step_size=0.1, steps=5, seed=0.5)
 
+    @pytest.mark.parametrize("kind", ["fgsm", "pgd"])
+    def test_config_checks_its_budget_when_built(self, kind):
+        # an empty, reversed or NaN clip fails here, not at the first attack
+        for clip in [(1.0, 0.0), (0.5, 0.5), (np.nan, 1.0)]:
+            with pytest.raises(ValueError, match="input_clip"):
+                AttackConfig(kind, 0.1, 0.02, 3, input_clip=clip)
+
+    def test_fgsm_config_ignores_pgd_settings(self):
+        # fgsm's one step has size epsilon; the config file still checks both keys
+        cfg = AttackConfig("fgsm", epsilon=0.1, step_size=0.0, steps=-1)
+        assert cfg.budget() == PerturbationBudget(0.1)
+
 
 class TestFeasibility:
     def test_outputs_within_budget_and_clip(self):

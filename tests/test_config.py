@@ -1,5 +1,6 @@
 """Run-config parsing tests: strictness, defaults, builders."""
 
+import dataclasses
 import math
 import re
 
@@ -8,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caplab import ConfigError
+from caplab import AttackConfig, ConfigError, CornerConfig, PerturbationBudget, TrainConfig
 from caplab.cli import main
 from caplab.config import (
     _DATA_NEEDS,
     _SCHEMA,
-    _Number,
     build_corner_config,
     build_datasets,
     build_eval_suite,
@@ -24,6 +24,7 @@ from caplab.config import (
     parse_eval_tokens,
     parse_lr_drops,
 )
+from caplab.polytope import _Number
 
 BASE = """
 [data]
@@ -281,6 +282,110 @@ class TestSchema:
             ("polytope", "input_clip", "-inf,1"),
         ]:
             rejected(tmp_path, section, key, value)
+
+
+# (section, key, dataclass, field): every config key that feeds a config
+# dataclass's field. AttackConfig checks epsilon and input_clip by building
+# its PerturbationBudget.
+KEY_FIELDS = [
+    ("run", "seed", CornerConfig, "seed"),
+    ("run", "seed", TrainConfig, "seed"),
+    ("train", "epochs", TrainConfig, "epochs"),
+    ("train", "lr", TrainConfig, "lr"),
+    ("train", "lr_drops", TrainConfig, "lr_drops"),
+    ("train", "lambda", TrainConfig, "lam"),
+    ("train", "batch_size", TrainConfig, "batch_size"),
+    ("train", "momentum", TrainConfig, "momentum"),
+    ("train", "weight_decay", TrainConfig, "weight_decay"),
+    ("train", "probe_size", TrainConfig, "probe_size"),
+    ("polytope", "particles", CornerConfig, "n_particles"),
+    ("polytope", "steps", CornerConfig, "steps"),
+    ("polytope", "eta", CornerConfig, "eta"),
+    ("polytope", "epsilon", PerturbationBudget, "epsilon"),
+    ("polytope", "input_clip", PerturbationBudget, "input_clip"),
+    ("polytope", "input_clip", AttackConfig, "input_clip"),
+    ("attack", "epsilon", AttackConfig, "epsilon"),
+    ("attack", "alpha", AttackConfig, "step_size"),
+    ("attack", "steps", AttackConfig, "steps"),
+    ("eval", "attacks", AttackConfig, "steps"),  # the count of each pgd-<steps> token
+    ("eval", "epsilon", AttackConfig, "epsilon"),
+    ("eval", "alpha", AttackConfig, "step_size"),
+]
+_CORNER = CornerConfig(3, 2, 0.05, PerturbationBudget(0.1), seed=1)
+VALID = {
+    PerturbationBudget: PerturbationBudget(0.1),
+    CornerConfig: _CORNER,
+    AttackConfig: AttackConfig("pgd", 0.1, 0.02, 3, seed=1),
+    TrainConfig: TrainConfig("clean", 2, 0.1, (), _CORNER, seed=1),
+}
+# a structured key's text that its rule rejects, and the parsed value
+STRUCTURED_BAD = {
+    ("train", "lr_drops"): ("2:10, 2:5", ((2, 10.0), (2, 5.0))),
+    ("polytope", "input_clip"): ("1,0", (1.0, 0.0)),
+    ("eval", "attacks"): ("pgd-0", 0),
+}
+
+
+def built_with(cls, field, value):
+    return dataclasses.replace(VALID[cls], **{field: value})
+
+
+def label(field):
+    """The name a constructor error gives the field."""
+    return "lambda" if field == "lam" else field
+
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """(rule, field name) of every _Number.check call made during the test."""
+    calls = []
+    check = _Number.check
+
+    def spy(rule, value, field=""):
+        calls.append((rule, field))
+        check(rule, value, field)
+
+    monkeypatch.setattr(_Number, "check", spy)
+    return calls
+
+
+class TestKeyFields:
+    @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
+    def test_table_lists_every_checked_number(self, rule_calls, cls):
+        dataclasses.replace(VALID[cls])
+        checked = {field for _, field in rule_calls}
+        if cls is AttackConfig:
+            checked.remove("seed")  # no key: build_eval_suite derives it
+        listed = {
+            label(f)
+            for s, k, c, f in KEY_FIELDS
+            if c is cls and isinstance(_SCHEMA[s][k][0], _Number)
+        }
+        assert checked == listed
+
+    @pytest.mark.parametrize(
+        "section, key, cls, field", KEY_FIELDS, ids=lambda v: getattr(v, "__name__", str(v))
+    )
+    def test_key_and_field_share_one_rule(self, rule_calls, section, key, cls, field):
+        parse = _SCHEMA[section][key][0]
+        if isinstance(parse, _Number):
+            past = [value for s, k, value in _just_past_bounds() if (s, k) == (section, key)]
+            assert len(past) == 1
+            with pytest.raises(ValueError, match=f"^{label(field)} must be "):
+                built_with(cls, field, parse.cast(past[0]))
+            rule_calls.clear()
+            edge = parse.low + (1 if parse.cast is int else math.ulp(parse.low)) * parse.strict
+            assert getattr(built_with(cls, field, parse.cast(edge)), field) == edge
+            # the constructor checked the field with the schema row's own rule object
+            assert any(rule is parse and f == label(field) for rule, f in rule_calls)
+        else:
+            text, value = STRUCTURED_BAD[(section, key)]
+            with pytest.raises(ValueError) as from_text:
+                parse(text)
+            with pytest.raises(ValueError) as from_value:
+                built_with(cls, field, value)
+            if key != "attacks":  # the token error quotes the token instead
+                assert str(from_value.value) == f"{label(field)} {from_text.value}"
 
 
 # A small config with every section; the property below mutates its values.

@@ -615,6 +615,10 @@ class TestManySamples:
             rows = np.minimum(np.arange(start, start + _BLOCK), 19)
             _, L, _, _, _ = corner_search_batch(model, X[rows], counters[rows], cfg)
             want += [max_pairwise_distance(L[b]) for b in range(min(_BLOCK, 20 - start))]
+            # a (B, N, c) stack gives each sample's diameter, bit for bit
+            stacked = max_pairwise_distance(L)
+            assert stacked.shape == (_BLOCK,)
+            assert stacked.tobytes() == np.array([max_pairwise_distance(m) for m in L]).tobytes()
         got = _block_diameters(model, X, counters, cfg)
         assert got.tobytes() == np.array(want).tobytes()
         if n_particles == 1:
