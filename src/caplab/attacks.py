@@ -14,9 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .errors import NumericsError, ShapeError
-from .nn import MlpModel, forward, grad_input, softmax
-from .polytope import _COUNT, _INDEX, _POSITIVE
+from .errors import _COUNT, _INDEX, _POSITIVE, NumericsError, ShapeError
+from .nn import MlpModel, _as_rows, forward, grad_input, softmax
 from .polytope import PerturbationBudget, _feasible_box, _uniform_particles
 from .seeding import COUNTER_ZERO
 
@@ -47,10 +46,7 @@ class AttackConfig:
 
 
 def _as_batch(model: MlpModel, x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x.reshape(1, -1)
+    x, squeeze = _as_rows(x, model.input_dim, "attack")
     labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if labels.shape != (x.shape[0],):
         raise ShapeError(f"labels shape {labels.shape} does not match batch of {x.shape[0]}")

@@ -32,9 +32,9 @@ from .config import (
     load_run_config,
 )
 from .data import Dataset, load_csv
-from .errors import CapLabError, ConfigError, NumericsError
+from .errors import _INDEX, CapLabError, ConfigError, NumericsError
 from .nn import MlpModel, load_model, save_model
-from .polytope import _INDEX, find_corners, mean_diameter
+from .polytope import find_corners, mean_diameter
 from .svg import corner_scatter_svg
 from .train import EpochRecord, _check_fit, train
 
@@ -298,11 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # a flag whose dest is "section.key" overrides that config key
+    # a flag whose dest is "section.key" overrides that config key; it takes
+    # no type=, so the key's own rule parses its text
     def common(p):
         p.add_argument("--config", required=True, help="run config file (INI)")
         p.add_argument("--out", dest="run.out", help="output directory (overrides run.out)")
-        p.add_argument("--seed", dest="run.seed", type=int, help="override run.seed")
+        p.add_argument("--seed", dest="run.seed", help="override run.seed")
 
     p_train = sub.add_parser("train", help="train a model per the config")
     common(p_train)
@@ -317,10 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="attack token (fgsm or pgd-<steps>); repeatable; overrides eval.attacks",
     )
-    p_eval.add_argument("--epsilon", dest="eval.epsilon", type=float, help="override eval.epsilon")
-    p_eval.add_argument(
-        "--alpha", dest="eval.alpha", type=float, help="override eval.alpha (pgd step size)"
-    )
+    p_eval.add_argument("--epsilon", dest="eval.epsilon", help="override eval.epsilon")
+    p_eval.add_argument("--alpha", dest="eval.alpha", help="override eval.alpha (pgd step size)")
     p_eval.add_argument(
         "--no-random-start",
         dest="eval.random_start",
@@ -336,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_corners.add_argument("--sample-index", type=int, default=0)
     p_corners.add_argument("--sample-file", help="headerless CSV with feature rows + label column")
     p_corners.add_argument("--split", choices=("train", "test"), default="test")
-    p_corners.add_argument("--particles", dest="polytope.particles", type=int)
-    p_corners.add_argument("--steps", dest="polytope.steps", type=int)
-    p_corners.add_argument("--eta", dest="polytope.eta", type=float)
-    p_corners.add_argument("--epsilon", dest="polytope.epsilon", type=float)
+    p_corners.add_argument("--particles", dest="polytope.particles")
+    p_corners.add_argument("--steps", dest="polytope.steps")
+    p_corners.add_argument("--eta", dest="polytope.eta")
+    p_corners.add_argument("--epsilon", dest="polytope.epsilon")
     p_corners.add_argument("--corner-seed", type=int, help="search seed (default: run.seed)")
     p_corners.set_defaults(fn=cmd_corners)
 
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--config-a", required=True)
     p_cmp.add_argument("--config-b", required=True)
     p_cmp.add_argument("--out", required=True)
-    p_cmp.add_argument("--seed", dest="run.seed", type=int, help="override both configs' run.seed")
+    p_cmp.add_argument("--seed", dest="run.seed", help="override both configs' run.seed")
     p_cmp.set_defaults(fn=cmd_compare)
 
     return parser

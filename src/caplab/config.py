@@ -42,11 +42,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .attacks import ATTACK_KINDS, AttackConfig
-from .data import Dataset, gen_blobs, gen_moons, load_csv, split
-from .errors import ConfigError
+from .data import SCALINGS, Dataset, _check_centers, gen_blobs, gen_moons, load_csv, split
+from .errors import _COUNT, _FRACTION, _INDEX, _NONNEGATIVE, _POSITIVE, ConfigError, _Number
 from .nn import ACTIVATIONS, MlpModel, init_mlp
-from .polytope import _COUNT, _INDEX, _NONNEGATIVE, _POSITIVE, _check_clip, _Number
-from .polytope import CornerConfig, PerturbationBudget
+from .polytope import CornerConfig, PerturbationBudget, _check_clip
 from .seeding import (
     STREAM_DATA_TEST,
     STREAM_DATA_TRAIN,
@@ -88,28 +87,22 @@ _finite = _Number(float, -math.inf, strict=False)  # any finite number
 
 
 def parse_widths(raw: str) -> list[int]:
-    try:
-        widths = [int(tok) for tok in str(raw).split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"expected comma-separated widths, got {raw!r}") from None
-    if not widths or any(w < 1 for w in widths):
-        raise ValueError(f"widths must be positive, got {raw!r}")
+    widths = [_COUNT(tok) for tok in str(raw).split(",") if tok.strip()]
+    if not widths:
+        raise ValueError(f"expected comma-separated widths, got {raw!r}")
     return widths
 
 
 def parse_centers(raw: str) -> list[list[float]]:
     centers = []
-    for i, part in enumerate(str(raw).split(";")):
+    for part in str(raw).split(";"):
         part = part.strip().strip("()")
         try:
             vec = [_finite(tok) for tok in part.split(",") if tok.strip()]
         except ValueError:
             raise ValueError(f"bad vector {part!r}") from None
-        if not vec:
-            raise ValueError(f"empty vector at position {i}")
         centers.append(vec)
-    if len(centers) < 2 or len({len(c) for c in centers}) != 1:
-        raise ValueError("need >= 2 centers of equal dimension")
+    _check_centers(centers)
     return centers
 
 
@@ -186,8 +179,8 @@ _SCHEMA: dict[str, dict[str, tuple[Callable, object]]] = {
         "path": (str, None),
         "label_column": (_column, -1),
         "has_header": (_bool, False),
-        "feature_scaling": (_choice("none", "minmax_to_unit"), "none"),
-        "test_fraction": (_Number(float, high=1), None),
+        "feature_scaling": (_choice(*SCALINGS), "none"),
+        "test_fraction": (_FRACTION, None),
     },
     "model": {
         "hidden": (parse_widths, REQUIRED),

@@ -12,7 +12,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CsvParseError
+from .errors import _COUNT, _FRACTION, _NONNEGATIVE, _POSITIVE, CsvParseError
+
+SCALINGS = ("none", "minmax_to_unit")
 
 
 @dataclass
@@ -42,6 +44,21 @@ class Dataset:
         return self.features.shape[1]
 
 
+def _check_centers(centers: Sequence[Sequence[float]], field: str = "") -> np.ndarray:
+    """The centers rule: two or more vectors, all of one dimension >= 1, with
+    finite entries. Returns them as a float64 matrix."""
+    name = f"{field} " if field else ""
+    try:
+        C = np.asarray(centers, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        C = np.empty(0)
+    if C.ndim != 2 or C.shape[0] < 2 or C.shape[1] < 1:
+        raise ValueError(f"{name}must be 2 or more vectors of one dimension >= 1")
+    if not np.isfinite(C).all():
+        raise ValueError(f"{name}must be finite")
+    return C
+
+
 def _no_overflow(feats: np.ndarray, name: str, scale: float) -> np.ndarray:
     """``feats`` when finite; otherwise the noise scale overflowed float64."""
     if not np.isfinite(feats).all():
@@ -53,15 +70,9 @@ def gen_blobs(
     seed: int, n_per_class: int, centers: Sequence[Sequence[float]], sigma: float
 ) -> Dataset:
     """Isotropic Gaussian clouds, one per center, class-major row order."""
-    if len(centers) < 2:
-        raise ValueError("need at least 2 centers")
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    C = np.asarray(centers, dtype=np.float64)
-    if C.ndim != 2:
-        raise ValueError("centers must all have the same dimension")
+    C = _check_centers(centers, "centers")
+    _POSITIVE.check(sigma, "sigma")
+    _COUNT.check(n_per_class, "n_per_class")
     rng = np.random.default_rng(int(seed))
     feats = []
     labels = []
@@ -82,10 +93,8 @@ def gen_moons(seed: int, n_per_class: int, noise: float) -> Dataset:
     With noise = 0 the points lie exactly on the arcs: class 0 on the upper
     unit half-circle, class 1 on a lower half-circle shifted to interleave.
     """
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    _COUNT.check(n_per_class, "n_per_class")
+    _NONNEGATIVE.check(noise, "noise")
     t = np.linspace(0.0, np.pi, n_per_class)
     outer = np.stack([np.cos(t), np.sin(t)], axis=1)
     inner = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1)
@@ -114,7 +123,7 @@ def load_csv(
     CsvParseError naming the 1-based line number, and a column whose span
     overflows float64 one naming the 1-based column.
     """
-    if feature_scaling not in ("none", "minmax_to_unit"):
+    if feature_scaling not in SCALINGS:
         raise ValueError(f"unknown feature_scaling {feature_scaling!r}")
     with open(path, "r", encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
@@ -200,8 +209,7 @@ def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Datase
 
     ``fraction`` is the train share; both sides must end up nonempty.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie strictly between 0 and 1")
+    _FRACTION.check(fraction, "fraction")
     n = dataset.n_samples
     n_train = int(fraction * n)
     if n_train < 1 or n_train >= n:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError
+from .errors import _COUNT, NumericsError, ShapeError
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -238,9 +238,10 @@ def init_mlp(seed: int, dims: Sequence[int], hidden_activation: str = "relu") ->
     ``dims`` lists layer widths input-first, e.g. [2, 32, 32, 3]. Hidden
     layers use ``hidden_activation``; the final layer is identity.
     """
-    dims = [int(d) for d in dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError(f"dims must list at least [input, output] positive widths, got {dims}")
+    if len(dims) < 2:
+        raise ValueError(f"dims must list at least [input, output] widths, got {dims}")
+    for d in dims:
+        _COUNT.check(d, "dims")
     rng = np.random.default_rng(int(seed))
     layers = []
     for k in range(len(dims) - 1):

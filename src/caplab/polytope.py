@@ -43,55 +43,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError
+from .errors import _COUNT, _INDEX, _NONNEGATIVE, NumericsError, ShapeError
 from .nn import MlpModel, forward, grad_input
 from .seeding import COUNTER_ZERO, stream_counters
 
 _BLOCK = 16  # samples in every corner search of the diameter path (see above)
-
-
-@dataclass(frozen=True)
-class _Number:
-    """Range rule for a finite int or float, bounded below by ``low`` (``> low``
-    when ``strict``, else ``>= low``) and, if given, strictly below ``high``.
-    Calling it parses a config file's text; ``check(value, field)`` tests a
-    value, and its error message then begins with the field's name."""
-
-    cast: type
-    low: float = 0
-    strict: bool = True
-    high: Optional[float] = None
-
-    def __call__(self, raw: str):
-        try:
-            value = self.cast(raw)
-        except ValueError:
-            noun = "an integer" if self.cast is int else "a number"
-            raise ValueError(f"expected {noun}, got {raw!r}") from None
-        self.check(value)
-        return value
-
-    def check(self, value, field: str = "") -> None:
-        name = f"{field} " if field else ""
-        if self.cast is int:
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name}must be an integer, got {value!r}") from None
-        if value != value or value in (math.inf, -math.inf):
-            raise ValueError(f"{name}must be finite")
-        if value <= self.low if self.strict else value < self.low:
-            raise ValueError(f"{name}must be {'>' if self.strict else '>='} {self.low}, got {value}")
-        if self.high is not None and value >= self.high:
-            raise ValueError(f"{name}must be < {self.high}, got {value}")
-
-
-# The config dataclasses check their numbers with these rules, and
-# config._SCHEMA gives each key the rule of the field it feeds.
-_COUNT = _Number(int)  # an integer > 0
-_INDEX = _Number(int, strict=False)  # an integer >= 0
-_POSITIVE = _Number(float)  # a finite number > 0
-_NONNEGATIVE = _Number(float, strict=False)  # a finite number >= 0
 
 
 def _check_clip(clip: Optional[tuple[float, float]], field: str = "") -> None:

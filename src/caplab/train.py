@@ -33,9 +33,8 @@ import numpy as np
 
 from .attacks import AttackConfig, attack, clean_accuracy
 from .data import Dataset
-from .errors import NumericsError, ShapeError
+from .errors import _COUNT, _INDEX, _NONNEGATIVE, _POSITIVE, NumericsError, ShapeError
 from .nn import MlpModel, cross_entropy_rows, forward, grad_params, softmax
-from .polytope import _COUNT, _INDEX, _NONNEGATIVE, _POSITIVE
 from .polytope import CornerConfig, _block_diameters, corner_search_batch
 from .seeding import (
     STREAM_ATTACK,

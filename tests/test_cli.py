@@ -564,6 +564,15 @@ def test_output_keys_are_pinned(tmp_path):
         # a 3-input checkpoint for the config's 2-D data; 3-D samples for a 2-input one
         ("corners", ["--checkpoint", "{tmp}/wide.json"], "--checkpoint {tmp}/wide.json"),
         ("corners", ["--sample-file", "{tmp}/three.csv"], "{tmp}/three.csv has 3"),
+        # text the key's rule cannot parse: the rule, not argparse, rejects it
+        ("train", ["--seed", "1.5"], "run.seed: expected an integer, got '1.5'"),
+        ("compare", ["--seed", "x"], "run.seed: expected an integer, got 'x'"),
+        ("corners", ["--particles", "2.5"], "polytope.particles: expected an integer"),
+        ("corners", ["--steps", "abc"], "polytope.steps: expected an integer"),
+        ("eval", ["--epsilon", "abc"], "eval.epsilon: expected a number, got 'abc'"),
+        ("corners", ["--epsilon", "abc"], "polytope.epsilon: expected a number"),
+        ("eval", ["--alpha", "x"], "eval.alpha: expected a number, got 'x'"),
+        ("corners", ["--eta", ""], "polytope.eta: expected a number, got ''"),
     ],
 )
 def test_flag_is_checked_like_its_config_key(tmp_path, capsys, command, flags, key):
@@ -572,8 +581,11 @@ def test_flag_is_checked_like_its_config_key(tmp_path, capsys, command, flags, k
         (tmp_path / f"{name}.json").write_text(json.dumps(model_to_dict(init_mlp(0, dims))))
     (tmp_path / "three.csv").write_text("0.1,0.2,0.3,0\n")
     out = tmp_path / "out"
-    argv = [command, "--config", cfg, "--out", str(out)]
-    if command != "train":
+    if command == "compare":
+        argv = [command, "--config-a", cfg, "--config-b", cfg, "--out", str(out)]
+    else:
+        argv = [command, "--config", cfg, "--out", str(out)]
+    if command in ("eval", "corners"):
         argv += ["--checkpoint", str(tmp_path / "model.json")]  # a later --checkpoint wins
     argv += [flag.format(tmp=tmp_path) for flag in flags]
     assert main(argv) == 2

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caplab import AttackConfig, ConfigError, CornerConfig, PerturbationBudget, TrainConfig
+from caplab import (
+    AttackConfig,
+    ConfigError,
+    CornerConfig,
+    PerturbationBudget,
+    TrainConfig,
+    gen_blobs,
+    gen_moons,
+    init_mlp,
+    split,
+)
 from caplab.cli import main
 from caplab.config import (
     _DATA_NEEDS,
@@ -24,7 +34,7 @@ from caplab.config import (
     parse_eval_tokens,
     parse_lr_drops,
 )
-from caplab.polytope import _Number
+from caplab.errors import _Number
 
 BASE = """
 [data]
@@ -386,6 +396,75 @@ class TestKeyFields:
                 built_with(cls, field, value)
             if key != "attacks":  # the token error quotes the token instead
                 assert str(from_value.value) == f"{label(field)} {from_text.value}"
+
+
+# (section, key, function, argument): every config key that feeds an
+# argument of a library function outside the config dataclasses.
+ENTRY_POINTS = [
+    ("data", "n_per_class", gen_blobs, "n_per_class"),
+    ("data", "n_per_class", gen_moons, "n_per_class"),
+    ("data", "sigma", gen_blobs, "sigma"),
+    ("data", "noise", gen_moons, "noise"),
+    ("data", "test_fraction", split, "fraction"),
+    ("data", "centers", gen_blobs, "centers"),
+    ("model", "hidden", init_mlp, "dims"),
+]
+VALID_CALLS = {
+    gen_blobs: {"seed": 0, "n_per_class": 3, "centers": [[-1.0, 0.0], [1.0, 0.0]], "sigma": 0.5},
+    gen_moons: {"seed": 0, "n_per_class": 3, "noise": 0.1},
+    split: {"dataset": gen_moons(0, 5, 0.1), "fraction": 0.5, "seed": 0},
+    init_mlp: {"seed": 0, "dims": [2, 4, 3]},
+}
+# a structured key's text that its rule rejects, the matching argument value,
+# and more values the argument's rule rejects
+STRUCTURED_ARGS = {
+    ("data", "centers"): (
+        "1,0",
+        [[1.0, 0.0]],
+        [
+            [[math.nan, 0.0], [1.0, 0.0]],
+            [[0.0, math.inf], [1.0, 0.0]],
+            [[0.0, 0.0], [1.0]],  # ragged
+            [1.0, 0.0],  # a flat list
+        ],
+    ),
+    ("model", "hidden"): ("4,0", [2, 4, 0, 3], [[2, 2.5, 3], [2, math.nan, 3]]),
+}
+
+
+def called_with(fn, arg, value):
+    return fn(**{**VALID_CALLS[fn], arg: value})
+
+
+@pytest.mark.parametrize(
+    "section, key, fn, arg", ENTRY_POINTS, ids=lambda v: getattr(v, "__name__", str(v))
+)
+def test_entry_point_checks_argument_with_its_keys_rule(rule_calls, section, key, fn, arg):
+    parse = _SCHEMA[section][key][0]
+    if isinstance(parse, _Number):
+        bad = [parse.cast(v) for s, k, v in _just_past_bounds() if (s, k) == (section, key)]
+        bad += [2.5] if parse.cast is int else [math.nan, math.inf, -math.inf]
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^{arg} must be "):
+                called_with(fn, arg, value)
+        if parse.high is None:
+            edge = parse.low + (1 if parse.cast is int else math.ulp(parse.low)) * parse.strict
+        else:
+            edge = math.nextafter(parse.high, -math.inf)
+        rule_calls.clear()
+        called_with(fn, arg, parse.cast(edge))
+        # the function checked the argument with the schema row's own rule object
+        assert any(rule is parse and f == arg for rule, f in rule_calls)
+    else:
+        text, value, more = STRUCTURED_ARGS[(section, key)]
+        with pytest.raises(ValueError) as from_text:
+            parse(text)
+        with pytest.raises(ValueError) as from_value:
+            called_with(fn, arg, value)
+        assert str(from_value.value) == f"{arg} {from_text.value}"
+        for value in more:
+            with pytest.raises(ValueError, match=f"^{arg} must be "):
+                called_with(fn, arg, value)
 
 
 # A small config with every section; the property below mutates its values.
