@@ -78,8 +78,10 @@ def _signed_ascent(
 ) -> np.ndarray:
     """x + delta after ``steps`` signed-gradient steps of size ``step`` from
     ``delta``, each projected back to the budget box around the clean x
-    (the ``project`` clamp, with its bounds built once)."""
+    (the ``project`` clamp, with its bounds built once). Like the corner
+    search, it clamps the start to that box before the first gradient."""
     lower, upper = _feasible_box(budget, xb)
+    delta = np.clip(delta, lower, upper)
     for _ in range(steps):
         g = _ce_input_grad(model, xb + delta, labels)
         delta = np.clip(delta + step * np.sign(g), lower, upper)
@@ -106,9 +108,9 @@ def pgd(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
     """Iterated signed-gradient ascent with projection back to the budget box.
 
     Optional uniform random start in [-eps, eps]^d (the corner search's
-    particle draw, seeded by cfg.seed); every iteration ends with the exact
-    box projection around the clean x, so the returned sample is always
-    feasible.
+    particle draw, seeded by cfg.seed), else 0. The start is clamped to the
+    feasible box and every iteration ends with the exact box projection
+    around the clean x, so every iterate is feasible.
     """
     if cfg.kind != "pgd":
         raise ValueError(f"pgd called with kind {cfg.kind!r}")
@@ -125,19 +127,21 @@ def attack(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
     return fgsm(model, x, y, cfg) if cfg.kind == "fgsm" else pgd(model, x, y, cfg)
 
 
+def _accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose argmax logit (ties: lowest class) is the label."""
+    logits, _ = forward(model, features)
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
 def robust_accuracy(model: MlpModel, dataset: Dataset, cfg: AttackConfig) -> float:
     """Fraction of samples still classified correctly after the attack.
 
-    Predictions take the argmax of the logits with ties broken toward the
-    lowest class index. With epsilon = 0 both attacks return the clean
-    samples, so the result is exactly the clean accuracy.
+    With epsilon = 0 both attacks return the clean samples, so the result is
+    exactly the clean accuracy.
     """
     adv = attack(model, dataset.features, dataset.labels, cfg)
-    logits, _ = forward(model, adv)
-    pred = np.argmax(logits, axis=1)
-    return float(np.mean(pred == dataset.labels))
+    return _accuracy(model, adv, dataset.labels)
 
 
 def clean_accuracy(model: MlpModel, dataset: Dataset) -> float:
-    logits, _ = forward(model, dataset.features)
-    return float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
+    return _accuracy(model, dataset.features, dataset.labels)

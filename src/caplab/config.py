@@ -310,7 +310,10 @@ def build_datasets(rc: RunConfig) -> tuple[Dataset, Dataset]:
             has_header=data["has_header"],
         )
         seed = derive_seed(rc.seed, STREAM_DATA_TEST)
-        train, test = split(full, 1.0 - data["test_fraction"], seed)
+        try:
+            train, test = split(full, 1.0 - data["test_fraction"], seed)
+        except ValueError as exc:  # split checks the train share 1 - test_fraction
+            raise ConfigError(f"data.test_fraction: {exc}") from None
         # the output layer gets one unit per class, so a stray large label
         # would size the model; a real class has at least one training sample
         if full.class_count > train.n_samples:

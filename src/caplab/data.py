@@ -73,18 +73,11 @@ def gen_blobs(
     C = _check_centers(centers, "centers")
     _POSITIVE.check(sigma, "sigma")
     _COUNT.check(n_per_class, "n_per_class")
+    labels = np.repeat(np.arange(len(C), dtype=np.int64), n_per_class)
     rng = np.random.default_rng(int(seed))
-    feats = []
-    labels = []
     with np.errstate(over="ignore"):  # reported by _no_overflow, naming sigma
-        for k, center in enumerate(C):
-            feats.append(center[None, :] + sigma * rng.standard_normal((n_per_class, C.shape[1])))
-            labels.append(np.full(n_per_class, k, dtype=np.int64))
-    return Dataset(
-        features=_no_overflow(np.concatenate(feats, axis=0), "sigma", sigma),
-        labels=np.concatenate(labels),
-        class_count=len(C),
-    )
+        feats = C[labels] + sigma * rng.standard_normal((len(labels), C.shape[1]))
+    return Dataset(features=_no_overflow(feats, "sigma", sigma), labels=labels, class_count=len(C))
 
 
 def gen_moons(seed: int, n_per_class: int, noise: float) -> Dataset:

@@ -18,7 +18,8 @@ The forward trace is the list of layer inputs, each 2-D, and nothing else:
 the backward pass reads a relu layer's mask off the next layer's input.
 The input gradient is one row exactly when its cotangent is one (c,) vector.
 Each pass builds its layer arrays in place in buffers it allocated itself; no
-pass writes into an array its caller passed.
+pass writes into an array its caller passed. Relu masks are applied in place:
+the output layer is identity, so each lands on a fresh ``delta @ W`` product.
 """
 
 from __future__ import annotations
@@ -161,18 +162,6 @@ def _cotangent_rows(
     return cot
 
 
-def _masked(delta: np.ndarray, cot: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """``delta * (nxt > 0)``: the relu mask read off the next layer's input.
-
-    A ``delta @ W`` product is fresh and is masked in place. ``cot`` may be
-    the caller's cotangent or a view of it, so it is masked into a new array.
-    """
-    if delta is cot:
-        return delta * (nxt > 0.0)
-    np.multiply(delta, nxt > 0.0, out=delta)
-    return delta
-
-
 def grad_params(
     model: MlpModel, trace: list[np.ndarray], cotangent: np.ndarray
 ) -> list[np.ndarray]:
@@ -183,13 +172,12 @@ def grad_params(
     pre-activation of 0.0 blocks the gradient. The pass stops at layer 0
     and forms no input gradient; that is ``grad_input``.
     """
-    cot = _cotangent_rows(model, trace, cotangent)
-    delta = cot
+    delta = _cotangent_rows(model, trace, cotangent)
     grads: list[np.ndarray] = []
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         if layer.activation == "relu":
-            delta = _masked(delta, cot, trace[k + 1])
+            np.multiply(delta, trace[k + 1] > 0.0, out=delta)
         grads[:0] = [delta.T @ trace[k], delta.sum(axis=0)]
         if k:
             delta = delta @ layer.weight
@@ -204,12 +192,11 @@ def grad_input(model: MlpModel, trace: list[np.ndarray], cotangent: np.ndarray) 
     bias gradients that corner search and the attacks do not use. It returns
     one (d,) row if the cotangent is one (c,) vector, else (B, d) rows.
     """
-    cot = _cotangent_rows(model, trace, cotangent)
-    delta = cot
+    delta = _cotangent_rows(model, trace, cotangent)
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         if layer.activation == "relu":
-            delta = _masked(delta, cot, trace[k + 1])
+            np.multiply(delta, trace[k + 1] > 0.0, out=delta)
         delta = delta @ layer.weight
     return delta[0] if np.ndim(cotangent) == 1 else delta
 

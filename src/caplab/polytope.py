@@ -168,22 +168,20 @@ def _uniform_particles(
     """(B, N, d) particles with i.i.d. U(-epsilon, epsilon) coordinates;
     sample b is drawn from ``Philox(key=<key of seed>, counter=counters[b])``.
 
-    One generator serves the batch: it is built at the first sample's
-    counter, and before each later sample it is reset to the state it was
-    built in (empty buffer) with that sample's counter, exactly where a fresh
-    generator starts.
+    No clip is needed: ``uniform`` returns -epsilon + 2 epsilon u with u < 1
+    and rounding is monotone, so every value lies in [-epsilon, epsilon];
+    each ascent clamps its start to its own feasible box. Before each sample
+    the one generator is reset to its fresh state at that sample's counter.
     """
+    if math.isinf(2.0 * epsilon):
+        raise NumericsError(f"epsilon {epsilon!r}: the draw's range 2 * epsilon overflows float64")
+    bitgen = np.random.Philox(key=_philox_key(operator.index(seed)))
+    gen, fresh = np.random.Generator(bitgen), bitgen.state
     out = np.empty((len(counters), n_particles, dim), dtype=np.float64)
     for b, counter in enumerate(counters):
-        if b == 0:
-            bitgen = np.random.Philox(key=_philox_key(operator.index(seed)), counter=counter)
-            gen, fresh = np.random.Generator(bitgen), bitgen.state
-        else:
-            fresh["state"]["counter"] = counter
-            bitgen.state = fresh
+        fresh["state"]["counter"] = counter
+        bitgen.state = fresh
         out[b] = gen.uniform(-epsilon, epsilon, size=(n_particles, dim))
-    # uniform() can round onto the open endpoint; keep the closed-box invariant exact
-    np.clip(out, -epsilon, epsilon, out=out)
     return out
 
 

@@ -200,8 +200,6 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> list[EpochReco
     of their 1-based epoch. With epochs = 0 the model is left unchanged and
     no record is returned.
     """
-    if dataset.n_samples < 1:
-        raise ValueError("dataset is empty")
     _check_fit(model, dataset)
     params = model.parameters()
     velocities = [np.zeros_like(p) for p in params]

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+import caplab.attacks
 from caplab import (
     AttackConfig,
     CornerConfig,
@@ -257,10 +258,27 @@ class TestFeasibility:
                 delta = np.zeros_like(xb)
                 if random_start:
                     gen = np.random.Generator(np.random.Philox(52))
-                    delta = gen.uniform(-eps, eps, size=xb.shape)
-                    np.clip(delta, -eps, eps, out=delta)
+                    delta = project(gen.uniform(-eps, eps, size=xb.shape), budget, xb)
                 want = signed_ascent_reference(model, xb, yb, delta, 0.05, 7, budget)
                 assert pgd(model, x, y, p_cfg).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, random_start", [("fgsm", False), ("pgd", False), ("pgd", True)])
+    def test_every_evaluated_point_is_feasible(self, monkeypatch, kind, random_start):
+        # samples near the domain's faces: an unclamped seed-4 start leaves [0, 1]
+        x = np.array([[0.01, 0.99], [0.5, 0.02]])
+        eps = 0.1
+        seen = []
+
+        def spy(model, a):
+            seen.append(np.array(a, copy=True))
+            return forward(model, a)
+
+        monkeypatch.setattr(caplab.attacks, "forward", spy)
+        cfg = AttackConfig(kind, eps, 0.05, 5, random_start=random_start, input_clip=(0.0, 1.0), seed=4)
+        attack(init_mlp(5, [2, 8, 3]), x, [0, 1], cfg)
+        assert len(seen) == (1 if kind == "fgsm" else 5)
+        for a in seen:
+            assert np.abs(a - x).max() <= eps and a.min() >= 0.0 and a.max() <= 1.0
 
     def test_sample_outside_input_clip_raises_before_any_forward(self, monkeypatch):
         def no_forward(*args, **kwargs):

@@ -646,6 +646,47 @@ def test_label_beyond_training_samples_exits_2_before_sizing_model(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("train", []),  # the cap term's particle draw
+        ("corners", ["--epsilon", "1e308"]),
+        ("eval", ["--attack", "pgd-5", "--epsilon", "1e308"]),  # pgd's random start
+    ],
+)
+def test_epsilon_too_large_to_draw_exits_3_naming_it(tmp_path, capsys, command, flags):
+    cfg = tmp_path / "c.ini"
+    text = MINI.format(kind="cap", lam=0.6, epochs=1, seed=0, drops="")
+    cfg.write_text(text.replace("[eval]", "[eval]\nrandom_start = true"))
+    if command == "train":
+        cfg.write_text(cfg.read_text().replace("epsilon = 0.1", "epsilon = 1e308", 1))
+    save_model(init_mlp(0, [2, 16, 3]), str(tmp_path / "m.json"))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]
+    if command != "train":
+        argv += ["--checkpoint", str(tmp_path / "m.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err  # train names the step first: "epoch 1, batch 0: "
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert err.endswith("epsilon 1e+308: the draw's range 2 * epsilon overflows float64\n")
+
+
+@pytest.mark.parametrize(
+    "fraction, reason",
+    [("0.99", "degenerate split: 0 train of 10 samples"), ("1e-17", "fraction must be < 1, got 1.0")],
+)
+def test_csv_split_error_exits_2_naming_test_fraction(tmp_path, capsys, fraction, reason):
+    data = tmp_path / "d.csv"
+    data.write_text("".join(f"0.{i},{i % 2}\n" for i in range(10)))
+    path = tmp_path / "c.ini"
+    path.write_text(
+        f"[data]\nkind = csv\npath = {data}\ntest_fraction = {fraction}\n\n[model]\nhidden = 4\n\n"
+        "[train]\nkind = clean\nepochs = 1\nlr = 0.1\n"
+    )
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: data.test_fraction: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def run_quietly(argv):
     """main(argv)'s exit code and stderr; stdout is dropped."""
     err = io.StringIO()

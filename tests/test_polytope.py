@@ -28,6 +28,7 @@ from caplab.polytope import (
     _BLOCK,
     _block_diameters,
     _mean_ascending,
+    _uniform_particles,
     corner_search_batch,
     max_pairwise_distance,
 )
@@ -98,6 +99,16 @@ class TestInitParticles:
         draws = ps.particles.reshape(-1)
         assert abs(draws.mean()) < 3 * (eps / np.sqrt(3)) / np.sqrt(n)
         assert np.abs(draws).max() <= eps
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-300, 0.1, 1e300, 8e307])
+    def test_draw_stays_in_closed_box_without_a_clip(self, eps):
+        # uniform returns -eps + 2 eps u with u < 1, and rounding is monotone
+        draws = _uniform_particles(3, stream_counters(np.arange(4), 0, 0), 50_000, 1, eps)
+        assert np.abs(draws).max() <= eps
+
+    def test_epsilon_whose_range_overflows_raises_numerics_error(self):
+        with pytest.raises(NumericsError, match=r"^epsilon 1e\+308: "):
+            init_particles(0, 2, 2, PerturbationBudget(1e308))
 
     def test_rejects_degenerate_counts(self):
         with pytest.raises(ValueError):
