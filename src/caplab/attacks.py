@@ -17,7 +17,6 @@ from .data import Dataset
 from .errors import _COUNT, _INDEX, _POSITIVE, NumericsError, ShapeError
 from .nn import MlpModel, _as_rows, forward, grad_input, softmax
 from .polytope import PerturbationBudget, _feasible_box, _uniform_particles
-from .seeding import COUNTER_ZERO
 
 ATTACK_KINDS = ("fgsm", "pgd")
 
@@ -116,7 +115,7 @@ def pgd(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
         raise ValueError(f"pgd called with kind {cfg.kind!r}")
     xb, labels, squeeze = _as_batch(model, x, y)
     if cfg.random_start:
-        delta = _uniform_particles(cfg.seed, COUNTER_ZERO, *xb.shape, cfg.epsilon)[0]
+        delta = _uniform_particles(cfg.seed, [0], 0, 0, *xb.shape, cfg.epsilon)[0]
     else:
         delta = np.zeros_like(xb)
     adv = _signed_ascent(model, xb, labels, delta, cfg.step_size, cfg.steps, cfg.budget())

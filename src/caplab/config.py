@@ -137,7 +137,8 @@ def parse_clip(raw: str) -> Optional[tuple[float, float]]:
 
 
 def parse_eval_tokens(raw: str) -> list[tuple[str, int]]:
-    """'fgsm, pgd-20' -> [('fgsm', 1), ('pgd', 20)]."""
+    """'fgsm, pgd-20' -> [('fgsm', 1), ('pgd', 20)]. An attack may appear
+    once: results are keyed by its name (fgsm, pgd-<steps>)."""
     out = []
     for tok in str(raw).split(","):
         tok = tok.strip().lower()
@@ -147,14 +148,17 @@ def parse_eval_tokens(raw: str) -> list[tuple[str, int]]:
         if not m:
             raise ValueError(f"unknown attack token {tok!r}")
         if tok == "fgsm":
-            out.append(("fgsm", 1))
+            entry, name = ("fgsm", 1), "fgsm"
         else:
             steps = int(m.group(2))
             try:
                 _COUNT.check(steps)
             except ValueError:
                 raise ValueError(f"pgd steps must be >= 1 in {tok!r}") from None
-            out.append(("pgd", steps))
+            entry, name = ("pgd", steps), f"pgd-{steps}"
+        if entry in out:
+            raise ValueError(f"duplicate attack {name!r}")
+        out.append(entry)
     if not out:
         raise ValueError("suite is empty")
     return out
@@ -310,8 +314,13 @@ def build_datasets(rc: RunConfig) -> tuple[Dataset, Dataset]:
             has_header=data["has_header"],
         )
         seed = derive_seed(rc.seed, STREAM_DATA_TEST)
+        test_fraction = data["test_fraction"]
+        if 1.0 - test_fraction == 1.0:  # the train share rounds to 1, which split rejects
+            raise ConfigError(
+                f"data.test_fraction: {test_fraction!r} leaves no test sample of {full.n_samples}"
+            )
         try:
-            train, test = split(full, 1.0 - data["test_fraction"], seed)
+            train, test = split(full, 1.0 - test_fraction, seed)
         except ValueError as exc:  # split checks the train share 1 - test_fraction
             raise ConfigError(f"data.test_fraction: {exc}") from None
         # the output layer gets one unit per class, so a stray large label

@@ -17,10 +17,12 @@ ascending index order, so it does not depend on how numpy would otherwise
 pair up a sum. The feasible box depends only on x and the budget, so a
 search builds it once and each step is a single clamp to it.
 
-Sample b's particles are the Philox stream at counter row b under the key
-of ``cfg.seed`` (see ``seeding``), so a sample draws the same particles
-alone or in any batch. find_corners draws at counter 0, which is the stream
-of ``np.random.Philox(cfg.seed)``.
+A caller names each sample's particle stream by its sample id and one
+(epoch, stream) pair; under the key of ``cfg.seed`` the draw reads the
+Philox stream at counter (0, id, epoch, stream) (see ``seeding``), so a
+sample draws the same particles alone or in any batch. _uniform_particles
+is the only code that builds counter rows. find_corners draws as id 0 at
+(0, 0), which is the stream of ``np.random.Philox(cfg.seed)``.
 
 BLAS may reassociate a GEMM's sums differently for different row counts, so
 the diameter path fixes the row count: every search call it makes holds
@@ -45,7 +47,7 @@ import numpy as np
 
 from .errors import _COUNT, _INDEX, _NONNEGATIVE, NumericsError, ShapeError
 from .nn import MlpModel, forward, grad_input
-from .seeding import COUNTER_ZERO, stream_counters
+from .seeding import stream_counters
 
 _BLOCK = 16  # samples in every corner search of the diameter path (see above)
 
@@ -146,36 +148,39 @@ def init_particles(
 
     The stream is ``np.random.Philox(seed)``, a counter-based generator, so
     the same seed reproduces the same set bit-for-bit regardless of what was
-    drawn elsewhere. This is find_corners' draw: counter 0 of the seed's key.
+    drawn elsewhere. This is find_corners' draw: id 0 at epoch 0, stream 0.
     """
     _COUNT.check(n_particles, "n_particles")
     _COUNT.check(dim, "dim")
-    particles = _uniform_particles(seed, COUNTER_ZERO, n_particles, dim, budget.epsilon)
+    particles = _uniform_particles(seed, [0], 0, 0, n_particles, dim, budget.epsilon)
     return ParticleSet(particles=particles[0], budget=budget)
 
 
 @functools.lru_cache(maxsize=64)
-def _philox_key(seed: int) -> np.ndarray:
-    """The (2,) uint64 key that ``np.random.Philox(seed)`` uses."""
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    key.flags.writeable = False
-    return key
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    """The SeedSequence that ``np.random.Philox(seed)`` derives its key from.
+    Built from it, a Philox reads no OS entropy (``Philox(key=...)`` seeds an
+    unused SeedSequence from OS entropy each time)."""
+    return np.random.SeedSequence(seed)
 
 
 def _uniform_particles(
-    seed: int, counters: np.ndarray, n_particles: int, dim: int, epsilon: float
+    seed: int, ids, epoch: int, stream: int, n_particles: int, dim: int, epsilon: float
 ) -> np.ndarray:
     """(B, N, d) particles with i.i.d. U(-epsilon, epsilon) coordinates;
-    sample b is drawn from ``Philox(key=<key of seed>, counter=counters[b])``.
+    sample b is drawn from the Philox stream under the key of ``seed`` at
+    counter (0, ids[b], epoch, stream), laid out by ``stream_counters``,
+    which raises ValueError for a negative or non-integer id.
 
     No clip is needed: ``uniform`` returns -epsilon + 2 epsilon u with u < 1
     and rounding is monotone, so every value lies in [-epsilon, epsilon];
     each ascent clamps its start to its own feasible box. Before each sample
     the one generator is reset to its fresh state at that sample's counter.
     """
+    counters = stream_counters(ids, epoch, stream)
     if math.isinf(2.0 * epsilon):
         raise NumericsError(f"epsilon {epsilon!r}: the draw's range 2 * epsilon overflows float64")
-    bitgen = np.random.Philox(key=_philox_key(operator.index(seed)))
+    bitgen = np.random.Philox(_seed_sequence(operator.index(seed)))
     gen, fresh = np.random.Generator(bitgen), bitgen.state
     out = np.empty((len(counters), n_particles, dim), dtype=np.float64)
     for b, counter in enumerate(counters):
@@ -258,16 +263,16 @@ def ascend_step(
 
 
 def corner_search_batch(
-    model: MlpModel, X: np.ndarray, counters: np.ndarray, cfg: CornerConfig
+    model: MlpModel, X: np.ndarray, ids, cfg: CornerConfig, epoch: int = 0, stream: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """Vectorized corner search for B samples at once (the trainer's path).
 
-    ``counters`` holds one (4,) Philox counter row per sample (see
-    ``seeding.stream_counters``); sample b's particles start from the stream
-    at ``counters[b]`` under the key of ``cfg.seed``, so they do not depend
-    on the other samples. Semantics are sample-wise: particles of different
-    samples never interact, and each sample's center reduction runs in
-    ascending particle order. All B*N ascent steps per iteration are fused
+    ``ids`` holds one non-negative integer sample id per row of X; sample
+    b's particles start from the stream named by (ids[b], epoch, stream)
+    under the key of ``cfg.seed``, so they do not depend on the other
+    samples. Semantics are sample-wise: particles of different samples
+    never interact, and each sample's center reduction runs in ascending
+    particle order. All B*N ascent steps per iteration are fused
     into one batched forward/backward. BLAS may reassociate sums differently
     for different row counts, so a sample's bits can depend on B (~1e-15
     relative); find_corners runs batches of one and the diameter path
@@ -280,20 +285,13 @@ def corner_search_batch(
     if X.ndim != 2:
         raise ShapeError(f"X must be (B, d), got {X.shape}")
     B, d = X.shape
-    counters = np.asarray(counters)
-    # only a signed dtype can hold a negative entry, which uint64 would wrap
-    if counters.dtype.kind not in "iu" or (
-        counters.dtype.kind == "i" and counters.size and counters.min() < 0
-    ):
-        raise ValueError(f"counter rows must be non-negative integers, got {counters.dtype}")
-    counters = counters.astype(np.uint64, copy=False)
-    if counters.shape != (B, 4):
-        raise ValueError(f"one (4,) counter row per sample is required, got {counters.shape}")
+    if np.shape(ids) != (B,):
+        raise ValueError(f"ids must hold one sample id per row of X ({B}), got {np.shape(ids)}")
     N, T, eta, budget = cfg.n_particles, cfg.steps, cfg.eta, cfg.budget
 
     Xb = X[:, None, :]
     lower, upper = _feasible_box(budget, Xb)
-    P = _uniform_particles(cfg.seed, counters, N, d, budget.epsilon)
+    P = _uniform_particles(cfg.seed, ids, epoch, stream, N, d, budget.epsilon)
     # Establish x + e feasibility up front; a pure epsilon-box budget is
     # already satisfied by construction, so this clamp is then a no-op.
     P = np.clip(P, lower, upper)
@@ -347,26 +345,27 @@ def find_corners(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"x must be a single (d,) sample, got {x.shape}")
-    P, L, centers, history, _ = corner_search_batch(model, x[None, :], COUNTER_ZERO, cfg)
+    P, L, centers, history, _ = corner_search_batch(model, x[None, :], [0], cfg)
     particles = ParticleSet(particles=P[0], budget=cfg.budget)
     est = PolytopeEstimate(corners=L[0], center=centers[0], objective_history=history[0])
     return particles, est
 
 
 def _block_diameters(
-    model: MlpModel, X: np.ndarray, counters: np.ndarray, cfg: CornerConfig
+    model: MlpModel, X: np.ndarray, cfg: CornerConfig, epoch: int = 0, stream: int = 0
 ) -> np.ndarray:
-    """(n,) diameters of the rows of X; row i searches from ``counters[i]``.
+    """(n,) diameters of the rows of X; row i draws as sample id i at
+    (epoch, stream).
 
     Every corner_search_batch call gets exactly _BLOCK samples. The last
-    block is padded by repeating its last real row and that row's counter,
+    block is padded by repeating its last real row and that row's index,
     and the pad results are dropped.
     """
     n = X.shape[0]
     diameters = np.empty(n, dtype=np.float64)
     for start in range(0, n, _BLOCK):
         rows = np.minimum(np.arange(start, start + _BLOCK), n - 1)
-        _, L, _, _, _ = corner_search_batch(model, X[rows], counters[rows], cfg)
+        _, L, _, _, _ = corner_search_batch(model, X[rows], rows, cfg, epoch, stream)
         diameters[start : start + _BLOCK] = max_pairwise_distance(L[: n - start])
     return diameters
 
@@ -374,16 +373,15 @@ def _block_diameters(
 def mean_diameter(model: MlpModel, X: np.ndarray, cfg: CornerConfig, threads: int = 1) -> float:
     """Mean polytope diameter over the rows of X (the compactness metric).
 
-    Row i is searched at counter (0, i, 0, 0) under ``cfg.seed``, in blocks
-    of 16 rows (see the module docstring), so its diameter does not depend
-    on the other rows. It may differ from find_corners' batch-of-one search
-    in the last bits. ``threads`` has no effect; perfbench/worker.py still
-    passes it.
+    Row i draws as sample id i at epoch 0, stream 0 under ``cfg.seed``, in
+    blocks of 16 rows (see the module docstring), so its diameter does not
+    depend on the other rows. It may differ from find_corners' batch-of-one
+    search in the last bits. ``threads`` has no effect; perfbench/worker.py
+    still passes it.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be (n, d), got {X.shape}")
     if X.shape[0] == 0:
         raise ValueError("mean_diameter needs at least one sample")
-    counters = stream_counters(np.arange(X.shape[0]), 0, 0)
-    return float(np.mean(_block_diameters(model, X, counters, cfg)))
+    return float(np.mean(_block_diameters(model, X, cfg)))

@@ -8,9 +8,11 @@ shifts the draws seen by another.
 The corner search's particles come from counter-keyed Philox streams
 instead: one key per search seed (the key ``np.random.Philox(seed)`` uses)
 and one counter per sample. Philox is counter-based, so distinct counters
-give independent streams without hashing a seed per sample. Sample i of
-stream k in epoch e starts at counter (0, i, e, k); counter 0 is the stream
-of ``np.random.Philox(seed)`` itself. A draw advances only the first
+give independent streams without hashing a seed per sample. Callers name a
+stream by sample id i, epoch e and stream k; ``stream_counters`` lays it
+out as the counter (0, i, e, k), and the particle draw
+(``polytope._uniform_particles``) is its only caller. Counter 0 is the
+stream of ``np.random.Philox(seed)`` itself. A draw advances only the first
 counter word, by far less than 2**64 blocks, so the streams never overlap.
 """
 
@@ -49,7 +51,3 @@ def stream_counters(ids, epoch: int, stream: int) -> np.ndarray:
     out[:, 2:] = epoch, stream
     return out
 
-
-# counter 0 of a key: the stream of ``np.random.Philox(seed)`` itself
-COUNTER_ZERO = stream_counters([0], 0, 0)
-COUNTER_ZERO.flags.writeable = False

@@ -12,8 +12,8 @@ is a sum over the N particles, not a mean. Batch loss is the mean over
 samples, so lambda keeps its per-sample scale at any batch size.
 
 Particles are re-initialized fresh every time a sample is visited, from the
-Philox stream of the global seed's key at counter (0, sample id, epoch,
-STREAM_PARTICLES); the epoch probe uses (0, probe row, epoch, STREAM_PROBE)
+Philox stream under the global seed's key named by (sample id, epoch,
+STREAM_PARTICLES); the epoch probe draws as (probe row, epoch, STREAM_PROBE)
 and runs mean_diameter's blocks of 16 samples.
 Nothing here consumes a shared random stream, so runs are bit-reproducible.
 
@@ -36,14 +36,7 @@ from .data import Dataset
 from .errors import _COUNT, _INDEX, _NONNEGATIVE, _POSITIVE, NumericsError, ShapeError
 from .nn import MlpModel, cross_entropy_rows, forward, grad_params, softmax
 from .polytope import CornerConfig, _block_diameters, corner_search_batch
-from .seeding import (
-    STREAM_ATTACK,
-    STREAM_PARTICLES,
-    STREAM_PROBE,
-    STREAM_SHUFFLE,
-    derive_seed,
-    stream_counters,
-)
+from .seeding import STREAM_ATTACK, STREAM_PARTICLES, STREAM_PROBE, STREAM_SHUFFLE, derive_seed
 
 BASELINE_KINDS = ("cap", "clean", "vanilla_at")
 
@@ -164,21 +157,15 @@ def _batch_gradients(
         return grads, float(ce_rows.sum()), 0.0
 
     B = X.shape[0]
-    counters = stream_counters(sample_ids, epoch, STREAM_PARTICLES)
-    _, L, centers, _, corner_trace = corner_search_batch(model, X, counters, search)
+    _, L, centers, _, corner_trace = corner_search_batch(
+        model, X, sample_ids, search, epoch, STREAM_PARTICLES
+    )
     resid = L - centers[:, None, :]
     reg_rows = (resid**2).sum(axis=(1, 2))
     cot = (2.0 * cfg.lam / B) * resid.reshape(-1, model.output_dim)
     reg_grads = grad_params(model, corner_trace, cot)
     grads = [a + b for a, b in zip(grads, reg_grads)]
     return grads, float(ce_rows.sum()), float(cfg.lam * reg_rows.sum())
-
-
-def _probe_mean_diameter(
-    model: MlpModel, probe: np.ndarray, search: CornerConfig, epoch: int
-) -> float:
-    counters = stream_counters(np.arange(probe.shape[0]), epoch, STREAM_PROBE)
-    return float(np.mean(_block_diameters(model, probe, counters, search)))
 
 
 def _check_fit(model: MlpModel, dataset: Dataset, name: str = "model") -> None:
@@ -250,7 +237,9 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> list[EpochReco
                 ce_term=ce_sum / dataset.n_samples,
                 reg_term=reg_sum / dataset.n_samples,
                 mean_diameter=(
-                    _probe_mean_diameter(model, probe, search, epoch) if probe is not None else None
+                    float(np.mean(_block_diameters(model, probe, search, epoch, STREAM_PROBE)))
+                    if probe is not None
+                    else None
                 ),
                 lr=lr,
             )

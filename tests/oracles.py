@@ -79,7 +79,7 @@ def mean_ascending(values: np.ndarray, axis: int) -> np.ndarray:
     return acc / n
 
 
-def corner_search_reference(model: MlpModel, X: np.ndarray, counters, cfg: CornerConfig):
+def corner_search_reference(model: MlpModel, X: np.ndarray, ids, cfg: CornerConfig):
     """corner_search_batch written the long way: ``project`` on every step,
     the looped center, and the residual formed twice per step (once for the
     history, once more as the next step's cotangent). Returns (particles,
@@ -88,7 +88,7 @@ def corner_search_reference(model: MlpModel, X: np.ndarray, counters, cfg: Corne
     B, d = X.shape
     N, T, eta, budget = cfg.n_particles, cfg.steps, cfg.eta, cfg.budget
 
-    P = _uniform_particles(cfg.seed, counters, N, d, budget.epsilon)
+    P = _uniform_particles(cfg.seed, ids, 0, 0, N, d, budget.epsilon)
     Xb = X[:, None, :]
     P = project(P, budget, Xb)
 

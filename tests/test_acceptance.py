@@ -34,7 +34,7 @@ from caplab import (
 from caplab.cli import main as cli_main
 from caplab.nn import softmax
 from caplab.polytope import _BLOCK, _block_diameters, corner_search_batch, max_pairwise_distance
-from caplab.seeding import derive_seed, stream_counters
+from caplab.seeding import derive_seed
 from oracles import cross_entropy, one_hot, preactivations
 
 # The canonical three-blob benchmark (mirrors presets/blobs_*.ini): an
@@ -255,11 +255,10 @@ def test_criterion_3_feasibility_and_determinism():
         X = np.random.default_rng(run).standard_normal((8, 3))
         cfg = CornerConfig(4, 5, 0.05, PerturbationBudget(0.2), seed=run)
         diameters = []
-        counters = stream_counters(np.arange(len(X)), 0, 0)
         for i in range(len(X)):
             # mean_diameter's row i: a search on that row alone, in a block padded
-            # with copies of itself, at counter (0, i, 0, 0)
-            block = (np.tile(X[i], (_BLOCK, 1)), np.tile(counters[i], (_BLOCK, 1)))
+            # with copies of itself, drawn as id i at (0, 0)
+            block = (np.tile(X[i], (_BLOCK, 1)), [i] * _BLOCK)
             p1, l1, c1, _, _ = corner_search_batch(model, *block, cfg)
             p2, l2, c2, _, _ = corner_search_batch(model, *block, cfg)
             d1, d2 = max_pairwise_distance(l1[0]), max_pairwise_distance(l2[0])
@@ -271,7 +270,7 @@ def test_criterion_3_feasibility_and_determinism():
             ):
                 mismatches += 1
             diameters.append(d1)
-        if _block_diameters(model, X, counters, cfg).tolist() != diameters:
+        if _block_diameters(model, X, cfg).tolist() != diameters:
             mismatches += 1
         if mean_diameter(model, X, cfg) != pytest.approx(np.mean(diameters), abs=0):
             mismatches += 1

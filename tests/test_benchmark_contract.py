@@ -43,7 +43,7 @@ assert with_threads == caplab.polytope.mean_diameter(model, X, cfg)
 
 # the argument and result slots that the tracer keeps, as spans.Tracer passes them
 N, T, d = cfg.n_particles, cfg.steps, X.shape[1]
-args = (model, X, caplab.seeding.stream_counters(range(len(X)), 0, 0), cfg)
+args = (model, X, range(len(X)), cfg)
 batch = worker._keep_batch(args, caplab.polytope.corner_search_batch(*args))
 args = (model, X[0], cfg)
 single = worker._keep_single(args, caplab.polytope.find_corners(*args))

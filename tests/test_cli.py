@@ -573,6 +573,8 @@ def test_output_keys_are_pinned(tmp_path):
         ("corners", ["--epsilon", "abc"], "polytope.epsilon: expected a number"),
         ("eval", ["--alpha", "x"], "eval.alpha: expected a number, got 'x'"),
         ("corners", ["--eta", ""], "polytope.eta: expected a number, got ''"),
+        # results are keyed by attack name: a second pgd-5 would be dropped
+        ("eval", ["--attack", "pgd-5", "--attack", "pgd-5"], "eval.attacks: duplicate attack 'pgd-5'"),
     ],
 )
 def test_flag_is_checked_like_its_config_key(tmp_path, capsys, command, flags, key):
@@ -672,7 +674,7 @@ def test_epsilon_too_large_to_draw_exits_3_naming_it(tmp_path, capsys, command, 
 
 @pytest.mark.parametrize(
     "fraction, reason",
-    [("0.99", "degenerate split: 0 train of 10 samples"), ("1e-17", "fraction must be < 1, got 1.0")],
+    [("0.99", "degenerate split: 0 train of 10 samples"), ("1e-17", "1e-17 leaves no test sample of 10")],
 )
 def test_csv_split_error_exits_2_naming_test_fraction(tmp_path, capsys, fraction, reason):
     data = tmp_path / "d.csv"

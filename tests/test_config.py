@@ -145,6 +145,10 @@ class TestValueParsers:
             ("pgd", 100),
         ]
         rejected(tmp_path, "eval", "attacks", "cw", match="unknown attack token")
+        # compare keys results by attack name, so each attack appears once
+        rejected(tmp_path, "eval", "attacks", "fgsm, FGSM", match="duplicate attack 'fgsm'")
+        rejected(tmp_path, "eval", "attacks", "pgd-5, pgd-05", match="duplicate attack 'pgd-5'")
+        assert parse_eval_tokens("pgd-5, fgsm, pgd-6") == [("pgd", 5), ("fgsm", 1), ("pgd", 6)]
 
 
 class TestBuilders:

@@ -32,7 +32,6 @@ from caplab.polytope import (
     corner_search_batch,
     max_pairwise_distance,
 )
-from caplab.seeding import stream_counters
 from oracles import corner_search_reference, empirical_center, mean_ascending
 
 
@@ -103,7 +102,7 @@ class TestInitParticles:
     @pytest.mark.parametrize("eps", [5e-324, 1e-300, 0.1, 1e300, 8e307])
     def test_draw_stays_in_closed_box_without_a_clip(self, eps):
         # uniform returns -eps + 2 eps u with u < 1, and rounding is monotone
-        draws = _uniform_particles(3, stream_counters(np.arange(4), 0, 0), 50_000, 1, eps)
+        draws = _uniform_particles(3, np.arange(4), 0, 0, 50_000, 1, eps)
         assert np.abs(draws).max() <= eps
 
     def test_epsilon_whose_range_overflows_raises_numerics_error(self):
@@ -413,13 +412,12 @@ class TestFindCorners:
         rng = np.random.default_rng(35)
         X = rng.standard_normal((6, 3))
         cfg = CornerConfig(4, 5, 0.05, PerturbationBudget(0.15), seed=0)
-        counters = stream_counters(np.arange(6), 0, 0)
-        P, L, centers, _, _ = corner_search_batch(model, X, counters, cfg)
+        P, L, centers, _, _ = corner_search_batch(model, X, np.arange(6), cfg)
         for i in range(6):
-            P1, _, c1, _, _ = corner_search_batch(model, X[i : i + 1], counters[i : i + 1], cfg)
+            P1, _, c1, _, _ = corner_search_batch(model, X[i : i + 1], [i], cfg)
             assert np.allclose(P[i], P1[0], rtol=0, atol=1e-12)
             assert np.allclose(centers[i], c1[0], rtol=0, atol=1e-12)
-        # counter 0 is find_corners' stream
+        # id 0 at (0, 0) is find_corners' stream
         pset, est = find_corners(model, X[0], cfg)
         assert np.allclose(P[0], pset.particles, rtol=0, atol=1e-12)
         assert np.allclose(centers[0], est.center, rtol=0, atol=1e-12)
@@ -436,9 +434,8 @@ class TestCornerSearchReference:
         X = rng.uniform(-1.0, 1.0, size=(B, 2))
         X[:1] = [0.85, -0.9]
         cfg = CornerConfig(10, 10, 0.05, PerturbationBudget(0.3, input_clip=clip), seed=5)
-        counters = stream_counters(np.arange(B), 0, 0)
-        P, L, centers, history, _ = corner_search_batch(model, X, counters, cfg)
-        want = corner_search_reference(model, X, counters, cfg)
+        P, L, centers, history, _ = corner_search_batch(model, X, np.arange(B), cfg)
+        want = corner_search_reference(model, X, np.arange(B), cfg)
         for got, ref in zip((P, L, centers, history), want):
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
@@ -458,7 +455,7 @@ class TestCornerSearchReference:
             find_corners(model, x, cfg)
         with pytest.raises(ValueError, match="outside the input_clip domain"):
             X = np.array([[0.5, 0.5], x])
-            corner_search_batch(model, X, stream_counters([1, 2], 0, 0), cfg)
+            corner_search_batch(model, X, [1, 2], cfg)
 
 
 class TestDiameter:
@@ -492,12 +489,10 @@ class TestDiameter:
         assert est.distances.tolist() == pytest.approx(to_center, rel=1e-12, abs=0)
 
 
-def alone_in_block(model, x, counter, cfg):
+def alone_in_block(model, x, sample_id, cfg):
     """The diameter path's definition of one sample's search: the sample
     alone, in a block padded with copies of itself."""
-    return corner_search_batch(
-        model, np.tile(x, (_BLOCK, 1)), np.tile(counter, (_BLOCK, 1)), cfg
-    )
+    return corner_search_batch(model, np.tile(x, (_BLOCK, 1)), [sample_id] * _BLOCK, cfg)
 
 
 class TestBlockIndependence:
@@ -515,13 +510,13 @@ class TestBlockIndependence:
         cfg = CornerConfig(n, t, 0.02, PerturbationBudget(0.1), seed=7)
         for _ in range(20):
             x = rng.normal(0.0, 0.2, d)
-            counter = stream_counters([int(rng.integers(0, 300))], 0, 0)[0]
-            want = alone_in_block(model, x, counter, cfg)[:4]
+            sample_id = int(rng.integers(0, 300))
+            want = alone_in_block(model, x, sample_id, cfg)[:4]
             for slot in (0, _BLOCK // 2, _BLOCK - 1):
                 X = rng.normal(0.0, 0.2, (_BLOCK, d))
-                counters = stream_counters(rng.integers(0, 300, _BLOCK), 0, 0)
-                X[slot], counters[slot] = x, counter
-                got = corner_search_batch(model, X, counters, cfg)[:4]
+                ids = rng.integers(0, 300, _BLOCK)
+                X[slot], ids[slot] = x, sample_id
+                got = corner_search_batch(model, X, ids, cfg)[:4]
                 # particles, logits, center, objective history
                 for g, w in zip(got, want):
                     assert g[slot].tobytes() == w[0].tobytes()
@@ -534,12 +529,12 @@ class TestSearchMemory:
         # the backward pass's two (B*N, width) products
         model = init_mlp(0, [2, 32, 32, 3])
         X = np.random.default_rng(3).normal(0.0, 0.2, (128, 2))
-        counters = stream_counters(np.arange(128), 0, 0)
+        ids = np.arange(128)
         cfg = CornerConfig(10, 10, 0.02, PerturbationBudget(0.1), seed=1)
-        corner_search_batch(model, X, counters, cfg)  # fill the key cache
+        corner_search_batch(model, X, ids, cfg)  # fill the seed cache
         tracemalloc.start()
         try:
-            _, L, _, _, trace = corner_search_batch(model, X, counters, cfg)
+            _, L, _, _, trace = corner_search_batch(model, X, ids, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -558,19 +553,19 @@ class TestSearchMemory:
         monkeypatch.setattr("caplab.polytope.forward", spy)
         model = init_mlp(0, [2, 8, 8, 3])
         cfg = CornerConfig(4, 5, 0.02, PerturbationBudget(0.1), seed=1)
-        corner_search_batch(model, np.zeros((3, 2)), stream_counters([0, 1, 2], 0, 0), cfg)
+        corner_search_batch(model, np.zeros((3, 2)), [0, 1, 2], cfg)
         assert alive == [0] * 6
 
 
 class TestManySamples:
     @staticmethod
-    def row_diameter(model, x, counter, cfg):
-        _, L, _, _, _ = alone_in_block(model, x, counter, cfg)
+    def row_diameter(model, x, sample_id, cfg):
+        _, L, _, _, _ = alone_in_block(model, x, sample_id, cfg)
         return max_pairwise_distance(L[0])
 
     def test_rows_do_not_depend_on_batch_composition(self):
         # row j of mean_diameter is a search on that row alone, in a block
-        # padded with copies of itself, at counter (0, j, 0, 0), whichever
+        # padded with copies of itself, drawn as id j at (0, 0), whichever
         # other rows share the call
         model = init_mlp(17, [3, 8, 3])
         rng = np.random.default_rng(32)
@@ -579,9 +574,8 @@ class TestManySamples:
         # the last row set spans three blocks, the last one padded
         for rows in (range(7), rng.permutation(7), [5, 2], [3], rng.integers(0, 7, 37)):
             rows = [int(i) for i in rows]
-            counters = stream_counters(np.arange(len(rows)), 0, 0)
-            want = [self.row_diameter(model, X[i], counters[j], cfg) for j, i in enumerate(rows)]
-            got = _block_diameters(model, X[rows], counters, cfg)
+            want = [self.row_diameter(model, X[i], j, cfg) for j, i in enumerate(rows)]
+            got = _block_diameters(model, X[rows], cfg)
             assert got.tolist() == want
             assert mean_diameter(model, X[rows], cfg) == pytest.approx(np.mean(want), abs=0)
 
@@ -590,20 +584,19 @@ class TestManySamples:
         rng = np.random.default_rng(31)
         X = rng.standard_normal((5, 2))
         cfg = CornerConfig(3, 4, 0.05, PerturbationBudget(0.1), seed=9)
-        counters = stream_counters(np.arange(5), 0, 0)
-        diameters = [self.row_diameter(model, x, c, cfg) for x, c in zip(X, counters)]
-        assert _block_diameters(model, X, counters, cfg).tolist() == diameters
+        diameters = [self.row_diameter(model, x, i, cfg) for i, x in enumerate(X)]
+        assert _block_diameters(model, X, cfg).tolist() == diameters
         assert mean_diameter(model, X, cfg) == pytest.approx(np.mean(diameters), abs=0)
-        # find_corners is a batch of one at counter 0
-        _, L, _, _, _ = corner_search_batch(model, X[:1], counters[:1], cfg)
+        # find_corners is a batch of one drawn as id 0 at (0, 0)
+        _, L, _, _, _ = corner_search_batch(model, X[:1], [0], cfg)
         assert max_pairwise_distance(L[0]) == find_corners(model, X[0], cfg)[1].diameter
 
     def test_every_search_holds_exactly_16_samples(self, monkeypatch):
         sizes = []
 
-        def spy(model, X, counters, cfg):
+        def spy(model, X, ids, cfg, *stream):
             sizes.append(X.shape[0])
-            return corner_search_batch(model, X, counters, cfg)
+            return corner_search_batch(model, X, ids, cfg, *stream)
 
         monkeypatch.setattr("caplab.polytope.corner_search_batch", spy)
         model = init_mlp(16, [2, 6, 2])
@@ -620,17 +613,16 @@ class TestManySamples:
         model = init_mlp(c, [2, 8, c])
         X = np.random.default_rng(c).standard_normal((20, 2))
         cfg = CornerConfig(n_particles, 3, 0.05, PerturbationBudget(0.1), seed=2)
-        counters = stream_counters(np.arange(20), 0, 0)
         want = []
         for start in (0, _BLOCK):
             rows = np.minimum(np.arange(start, start + _BLOCK), 19)
-            _, L, _, _, _ = corner_search_batch(model, X[rows], counters[rows], cfg)
+            _, L, _, _, _ = corner_search_batch(model, X[rows], rows, cfg)
             want += [max_pairwise_distance(L[b]) for b in range(min(_BLOCK, 20 - start))]
             # a (B, N, c) stack gives each sample's diameter, bit for bit
             stacked = max_pairwise_distance(L)
             assert stacked.shape == (_BLOCK,)
             assert stacked.tobytes() == np.array([max_pairwise_distance(m) for m in L]).tobytes()
-        got = _block_diameters(model, X, counters, cfg)
+        got = _block_diameters(model, X, cfg)
         assert got.tobytes() == np.array(want).tobytes()
         if n_particles == 1:
             assert got.tobytes() == np.zeros(20).tobytes()

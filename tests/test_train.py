@@ -25,7 +25,7 @@ from caplab import (
 )
 from caplab.nn import cross_entropy_rows
 from caplab.polytope import corner_search_batch, max_pairwise_distance
-from caplab.seeding import STREAM_PARTICLES, STREAM_PROBE, stream_counters
+from caplab.seeding import STREAM_PARTICLES, STREAM_PROBE
 from caplab.train import _batch_gradients
 from oracles import cross_entropy, label_index, one_hot
 
@@ -204,7 +204,7 @@ class TestCapLoss:
         want = [np.zeros_like(p) for p in model.parameters()]
         for i in ids:
             P, _, centers, _, _ = corner_search_batch(
-                model, ds.features[i : i + 1], stream_counters([i], 1, STREAM_PARTICLES), search
+                model, ds.features[i : i + 1], [i], search, 1, STREAM_PARTICLES
             )
             corners = ParticleSet(P[0], search.budget)
             loss, g = cap_loss(model, ds.features[i], ds.labels[i], corners, centers[0], cfg.lam)
@@ -355,14 +355,15 @@ class TestTrain:
 
     def test_probe_of_one_block_is_one_search(self):
         # at probe_size 16 the probe is one corner_search_batch call on the
-        # probe rows, keyed by the run seed at (0, row, epoch, STREAM_PROBE)
+        # probe rows, keyed by the run seed and drawn as (row, epoch, STREAM_PROBE)
         ds = gen_blobs(18, 20, [[-1, 0], [1, 0]], 0.35)
         model = init_mlp(6, [2, 4, 2])
         cfg = clean_cfg(epochs=2, baseline_kind="cap", lam=0.2, probe_size=16, seed=3)
         records = train(model, ds, cfg)
-        counters = stream_counters(np.arange(16), 2, STREAM_PROBE)
         search = dataclasses.replace(cfg.polytope, seed=3)
-        _, L, _, _, _ = corner_search_batch(model, ds.features[:16], counters, search)
+        _, L, _, _, _ = corner_search_batch(
+            model, ds.features[:16], np.arange(16), search, 2, STREAM_PROBE
+        )
         want = float(np.mean([max_pairwise_distance(L[i]) for i in range(16)]))
         assert records[-1].mean_diameter == want
 
