@@ -3,7 +3,10 @@
 Both attacks maximize the cross-entropy of the true class inside the
 l-infinity budget box, optionally intersected with an input domain box.
 They accept a single sample (d,) with an integer label or a batch (n, d)
-with a label array; rows are attacked independently.
+with a label array; rows are attacked independently. Each call checks its
+inputs once: every iterate lies between x plus the budget box's two faces,
+so both faces pass forward's check before the first step, and every step
+runs the unchecked network cores. The per-step gradient check stays.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import _COUNT, _INDEX, _POSITIVE, NumericsError, ShapeError
-from .nn import MlpModel, _as_rows, forward, grad_input, softmax
+from .nn import MlpModel, _as_rows, _forward_rows, _input_grad_rows, _input_rows, forward, softmax
 from .polytope import PerturbationBudget, _feasible_box, _uniform_particles
 
 ATTACK_KINDS = ("fgsm", "pgd")
@@ -56,11 +59,12 @@ def _as_batch(model: MlpModel, x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray
 
 
 def _ce_input_grad(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Rowwise gradient of CE(softmax(f(x)), y) w.r.t. x."""
-    logits, trace = forward(model, x)
+    """Rowwise gradient of CE(softmax(f(x)), y) w.r.t. (n, d) rows x that
+    passed forward's check."""
+    logits, trace = _forward_rows(model, x)
     cot = softmax(logits)
     cot[np.arange(x.shape[0]), labels] -= 1.0
-    g = grad_input(model, trace, cot)
+    g = _input_grad_rows(model, trace, cot)
     if not np.isfinite(g).all():
         raise NumericsError("non-finite attack gradient")
     return g
@@ -78,8 +82,11 @@ def _signed_ascent(
     """x + delta after ``steps`` signed-gradient steps of size ``step`` from
     ``delta``, each projected back to the budget box around the clean x
     (the ``project`` clamp, with its bounds built once). Like the corner
-    search, it clamps the start to that box before the first gradient."""
+    search, it clamps the start to that box before the first gradient and
+    checks the box's two faces once, since x + delta is monotone in delta."""
     lower, upper = _feasible_box(budget, xb)
+    for face in (lower, upper):
+        _input_rows(model, xb + face)
     delta = np.clip(delta, lower, upper)
     for _ in range(steps):
         g = _ce_input_grad(model, xb + delta, labels)

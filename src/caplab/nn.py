@@ -20,6 +20,11 @@ The input gradient is one row exactly when its cotangent is one (c,) vector.
 Each pass builds its layer arrays in place in buffers it allocated itself; no
 pass writes into an array its caller passed. Relu masks are applied in place:
 the output layer is identity, so each lands on a fresh ``delta @ W`` product.
+
+Each public pass is its entry check followed by one private unchecked core
+(``_forward_rows``, ``_input_grad_rows``), the pass's only implementation.
+The ascent loops (the corner search, PGD and FGSM) check their inputs once
+per call and then call the cores on every step.
 """
 
 from __future__ import annotations
@@ -129,9 +134,24 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray
     infinities and NaN included), and the last layer is identity, so every
     relu layer has a next input.
     """
+    a, squeeze = _input_rows(model, x)
+    logits, trace = _forward_rows(model, a)
+    return (logits[0] if squeeze else logits), trace
+
+
+def _input_rows(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """forward's entry check: x as 2-D rows and whether it was one (d,)
+    sample; ShapeError unless it has the model's input width, ValueError
+    unless it is finite."""
     a, squeeze = _as_rows(x, model.input_dim, "forward")
     if not np.isfinite(a).all():
         raise ValueError("forward: input contains non-finite values")
+    return a, squeeze
+
+
+def _forward_rows(model: MlpModel, a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """forward's core on (B, d) rows that passed ``_input_rows``: (B, c)
+    logits and the trace, with no check."""
     trace = []
     for layer in model.layers:
         trace.append(a)
@@ -140,8 +160,7 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray
         a += layer.bias
         if layer.activation == "relu":
             np.maximum(a, 0.0, out=a)
-    logits = a[0] if squeeze else a
-    return logits, trace
+    return a, trace
 
 
 def _cotangent_rows(
@@ -192,13 +211,21 @@ def grad_input(model: MlpModel, trace: list[np.ndarray], cotangent: np.ndarray) 
     bias gradients that corner search and the attacks do not use. It returns
     one (d,) row if the cotangent is one (c,) vector, else (B, d) rows.
     """
-    delta = _cotangent_rows(model, trace, cotangent)
+    delta = _input_grad_rows(model, trace, _cotangent_rows(model, trace, cotangent))
+    return delta[0] if np.ndim(cotangent) == 1 else delta
+
+
+def _input_grad_rows(model: MlpModel, trace: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
+    """grad_input's core: (B, d) input-gradient rows for (B, c) cotangent
+    rows that match the trace, with no check. It writes nothing into
+    ``delta``: the output layer is identity, so the first mask lands on a
+    fresh product."""
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         if layer.activation == "relu":
             np.multiply(delta, trace[k + 1] > 0.0, out=delta)
         delta = delta @ layer.weight
-    return delta[0] if np.ndim(cotangent) == 1 else delta
+    return delta
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

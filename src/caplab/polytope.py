@@ -15,7 +15,11 @@ samples.
 Each sample's center is one sequential accumulate over its particles in
 ascending index order, so it does not depend on how numpy would otherwise
 pair up a sum. The feasible box depends only on x and the budget, so a
-search builds it once and each step is a single clamp to it.
+search builds it once and each step is a single clamp to it. A search also
+checks its inputs once: every point it evaluates lies between x plus the
+box's two faces, so it checks those faces once at entry and then runs the
+unchecked network cores on every step. It keeps each step's residual and
+forms the objective history from all of them after the loop.
 
 A caller names each sample's particle stream by its sample id and one
 (epoch, stream) pair; under the key of ``cfg.seed`` the draw reads the
@@ -46,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import _COUNT, _INDEX, _NONNEGATIVE, NumericsError, ShapeError
-from .nn import MlpModel, forward, grad_input
+from .nn import MlpModel, _forward_rows, _input_grad_rows, _input_rows, forward, grad_input
 from .seeding import stream_counters
 
 _BLOCK = 16  # samples in every corner search of the diameter path (see above)
@@ -292,33 +296,42 @@ def corner_search_batch(
     Xb = X[:, None, :]
     lower, upper = _feasible_box(budget, Xb)
     P = _uniform_particles(cfg.seed, ids, epoch, stream, N, d, budget.epsilon)
+    # x + e is monotone in e, so every point evaluated below lies between x
+    # plus these two faces: checking them, laid out as the (B*N, d) rows of
+    # a step, is forward's check of every step, with forward's messages
+    for face in (lower, upper):
+        _input_rows(model, (Xb + face).repeat(N, axis=1).reshape(B * N, d))
     # Establish x + e feasibility up front; a pure epsilon-box budget is
     # already satisfied by construction, so this clamp is then a no-op.
-    P = np.clip(P, lower, upper)
+    # minimum(maximum()) is np.clip's arithmetic; no NaN reaches it.
+    P = np.minimum(np.maximum(P, lower), upper)
 
-    logits, trace = forward(model, (Xb + P).reshape(B * N, d))
+    logits, trace = _forward_rows(model, (Xb + P).reshape(B * N, d))
     c = logits.shape[1]
     L = logits.reshape(B, N, c)
     centers = _mean_ascending(L, axis=1)
-    resid = L - centers[:, None, :]
-    history = np.empty((B, T), dtype=np.float64)
+    # resid[t] is the residual after t steps, and doubled, step t's cotangent
+    resid = np.empty((T + 1, B, N, c), dtype=np.float64)
+    np.subtract(L, centers[:, None, :], out=resid[0])
 
     for t in range(T):
-        g = grad_input(model, trace, 2.0 * resid.reshape(B * N, c)).reshape(B, N, d)
+        g = _input_grad_rows(model, trace, 2.0 * resid[t].reshape(B * N, c)).reshape(B, N, d)
         if not np.isfinite(g).all():
             bad = np.argwhere(~np.isfinite(g).all(axis=2))
             i, n = int(bad[0, 0]), int(bad[0, 1])
             raise NumericsError(f"non-finite ascent gradient for particle {n} of sample {i}")
-        P = np.clip(P + eta * g, lower, upper)
+        P = np.minimum(np.maximum(P + eta * g, lower), upper)
         del g, trace  # so that only one trace is alive during the forward
-        logits, trace = forward(model, (Xb + P).reshape(B * N, d))
+        logits, trace = _forward_rows(model, (Xb + P).reshape(B * N, d))
         L = logits.reshape(B, N, c)
         centers = _mean_ascending(L, axis=1)
-        # this residual is also the next step's cotangent (halved);
-        # np.add.reduce / N is np.mean's own arithmetic without its wrapper
-        resid = L - centers[:, None, :]
-        history[:, t] = np.add.reduce((resid**2).sum(axis=2), axis=1) / N
+        np.subtract(L, centers[:, None, :], out=resid[t + 1])
 
+    # every step's mean squared distance at once, by the same two reductions
+    # along the same contiguous axes as one step at a time; np.add.reduce / N
+    # is np.mean's own arithmetic without its wrapper
+    sq = np.square(resid[1:], out=resid[1:])
+    history = (np.add.reduce(sq.sum(axis=3), axis=2) / N).T
     return P, L, centers, history, trace
 
 

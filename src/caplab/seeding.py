@@ -18,7 +18,14 @@ counter word, by far less than 2**64 blocks, so the streams never overlap.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+
+from .errors import _INDEX
+
+# an epoch or stream is one 64-bit Philox counter word
+_COUNTER_WORD = dataclasses.replace(_INDEX, high=2**64)
 
 # Fixed stream identifiers. Values are part of the reproducibility contract:
 # changing them changes every derived stream.
@@ -40,12 +47,15 @@ def derive_seed(base_seed: int, *key: int) -> int:
 
 def stream_counters(ids, epoch: int, stream: int) -> np.ndarray:
     """The (B, 4) uint64 Philox counters (0, i, epoch, stream), one row per
-    sample id i."""
+    sample id i. ValueError unless the ids are 1-D integers >= 0 and epoch
+    and stream are integers in [0, 2**64)."""
     ids = np.asarray(ids)
     if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
         raise ValueError(f"sample ids must be 1-D integers, got {ids.dtype} {ids.shape}")
     if (ids.size and ids.min() < 0) or epoch < 0 or stream < 0:
         raise ValueError("sample ids, epoch and stream must be non-negative")
+    _COUNTER_WORD.check(epoch, "epoch")
+    _COUNTER_WORD.check(stream, "stream")
     out = np.zeros((ids.size, 4), dtype=np.uint64)
     out[:, 1] = ids
     out[:, 2:] = epoch, stream

@@ -188,6 +188,10 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig) -> list[EpochReco
     no record is returned.
     """
     _check_fit(model, dataset)
+    if cfg.probe_size > dataset.n_samples:
+        raise ValueError(
+            f"probe_size {cfg.probe_size} exceeds the {dataset.n_samples} training samples"
+        )
     params = model.parameters()
     velocities = [np.zeros_like(p) for p in params]
     lr = cfg.lr

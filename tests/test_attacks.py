@@ -27,6 +27,7 @@ from caplab import (
     softmax,
     train,
 )
+from caplab.nn import _forward_rows
 from oracles import cross_entropy, one_hot
 
 
@@ -271,9 +272,10 @@ class TestFeasibility:
 
         def spy(model, a):
             seen.append(np.array(a, copy=True))
-            return forward(model, a)
+            return _forward_rows(model, a)
 
-        monkeypatch.setattr(caplab.attacks, "forward", spy)
+        # every step runs the unchecked core, after one check per call
+        monkeypatch.setattr(caplab.attacks, "_forward_rows", spy)
         cfg = AttackConfig(kind, eps, 0.05, 5, random_start=random_start, input_clip=(0.0, 1.0), seed=4)
         attack(init_mlp(5, [2, 8, 3]), x, [0, 1], cfg)
         assert len(seen) == (1 if kind == "fgsm" else 5)
@@ -284,7 +286,9 @@ class TestFeasibility:
         def no_forward(*args, **kwargs):
             raise AssertionError("forward pass ran")
 
+        # neither the checked forward nor its core runs
         monkeypatch.setattr("caplab.attacks.forward", no_forward)
+        monkeypatch.setattr("caplab.attacks._forward_rows", no_forward)
         model = init_mlp(53, [2, 4, 3])
         x = np.array([[0.5, 0.5], [2.0, 0.5]])
         for cfg in (
@@ -293,6 +297,17 @@ class TestFeasibility:
         ):
             with pytest.raises(ValueError, match="outside the input_clip domain"):
                 attack(model, x, [0, 1], cfg)
+
+    @pytest.mark.parametrize("kind", ["fgsm", "pgd"])
+    def test_box_whose_far_face_overflows_raises_forwards_error(self, kind):
+        # the clean point and the start are finite, x + eps is not: the one
+        # check per call covers every iterate, so even FGSM, whose only
+        # forward is at x, refuses to return an infinite row
+        model = linear_model([[1.0], [-1.0]])
+        cfg = AttackConfig(kind, 0.5e308, 0.5e308, 3)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="forward: input contains non-finite values"):
+                attack(model, np.array([[1.5e308]]), [1], cfg)
 
 
 class TestRobustAccuracy:

@@ -97,6 +97,14 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "train.lambda" in capsys.readouterr().err
 
+    def test_probe_larger_than_the_training_set_exits_2(self, tmp_path, capsys):
+        cfg = write_mini(tmp_path, epochs=1)
+        path = tmp_path / "mini.ini"
+        path.write_text(path.read_text().replace("probe_size = 4", "probe_size = 100000"))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: probe_size 100000 exceeds the ") and "Traceback" not in err
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(

@@ -24,6 +24,7 @@ from caplab import (
     mean_diameter,
     project,
 )
+from caplab.nn import _forward_rows
 from caplab.polytope import (
     _BLOCK,
     _block_diameters,
@@ -427,27 +428,44 @@ class TestCornerSearchReference:
     @pytest.mark.parametrize("clip", [None, (-1.0, 1.0)], ids=["eps-box", "input-clip"])
     @pytest.mark.parametrize("B", [1, 16, 44, 128, 0])
     def test_equals_the_step_by_step_loop_bitwise(self, B, clip):
-        model = init_mlp(36, [2, 32, 32, 3])
         rng = np.random.default_rng(37)
         # rows spread up to the domain edges, the first within eps of two of
         # them, so the clip cuts into the eps-box at every B
         X = rng.uniform(-1.0, 1.0, size=(B, 2))
         X[:1] = [0.85, -0.9]
-        cfg = CornerConfig(10, 10, 0.05, PerturbationBudget(0.3, input_clip=clip), seed=5)
-        P, L, centers, history, _ = corner_search_batch(model, X, np.arange(B), cfg)
-        want = corner_search_reference(model, X, np.arange(B), cfg)
-        for got, ref in zip((P, L, centers, history), want):
-            assert got.shape == ref.shape
-            assert got.tobytes() == ref.tobytes()
-        assert P.shape == (B, 10, 2) and history.shape == (B, 10)
-        if clip is not None and B:
-            assert np.any(np.abs(X[:, None, :] + P) == 1.0)
+        # (outputs c, particles N): c = 9 reaches numpy's pairwise sum in the
+        # history's sum over outputs, and N = 1 has a zero residual
+        for c, N in [(3, 10), (1, 10), (9, 10), (3, 1)]:
+            model = init_mlp(36, [2, 32, 32, c])
+            cfg = CornerConfig(N, 10, 0.05, PerturbationBudget(0.3, input_clip=clip), seed=5)
+            P, L, centers, history, _ = corner_search_batch(model, X, np.arange(B), cfg)
+            want = corner_search_reference(model, X, np.arange(B), cfg)
+            for got, ref in zip((P, L, centers, history), want):
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (c, N)
+            assert P.shape == (B, N, 2) and history.shape == (B, 10)
+            if clip is not None and B:
+                assert np.any(np.abs(X[:, None, :] + P) == 1.0)
+
+    def test_box_whose_far_face_overflows_raises_forwards_error(self):
+        # the first draw is finite (both seed-0 particles lie below x), but
+        # x + eps is not; a step of eta = 1e301 would reach that face, and
+        # the one entry check refuses the search before it starts
+        model = linear_model([[1e-150]])
+        x = np.array([[1.5e308]])
+        cfg = CornerConfig(2, 1, 1e301, PerturbationBudget(0.5e308), seed=0)
+        assert np.isfinite(x + _uniform_particles(0, [0], 0, 0, 2, 1, 0.5e308)).all()
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="forward: input contains non-finite values"):
+                corner_search_batch(model, x, [0], cfg)
 
     def test_sample_outside_input_clip_raises_before_any_forward(self, monkeypatch):
         def no_forward(*args, **kwargs):
             raise AssertionError("forward pass ran")
 
+        # neither the checked forward nor its core runs
         monkeypatch.setattr("caplab.polytope.forward", no_forward)
+        monkeypatch.setattr("caplab.polytope._forward_rows", no_forward)
         model = init_mlp(38, [2, 4, 3])
         cfg = CornerConfig(3, 2, 0.05, PerturbationBudget(0.1, input_clip=(0.0, 1.0)))
         x = np.array([2.0, 0.5])
@@ -546,11 +564,12 @@ class TestSearchMemory:
 
         def spy(model, x):
             alive.append(sum(r() is not None for r in refs))
-            logits, trace = forward(model, x)
+            logits, trace = _forward_rows(model, x)
             refs.extend(weakref.ref(a) for a in trace)
             return logits, trace
 
-        monkeypatch.setattr("caplab.polytope.forward", spy)
+        # every forward of the search runs the unchecked core
+        monkeypatch.setattr("caplab.polytope._forward_rows", spy)
         model = init_mlp(0, [2, 8, 8, 3])
         cfg = CornerConfig(4, 5, 0.02, PerturbationBudget(0.1), seed=1)
         corner_search_batch(model, np.zeros((3, 2)), [0, 1, 2], cfg)

@@ -130,6 +130,31 @@ def test_negative_seed_or_id_is_value_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "stream, match",
+    [
+        # 1.5 would truncate to epoch 1 and draw its particles
+        (dict(epoch=1.5), "^epoch must be an integer, got 1.5"),
+        (dict(stream=5.0), "^stream must be an integer, got 5.0"),
+        # 2**64 would escape as an OverflowError on its way to uint64
+        (dict(epoch=2**64), "^epoch must be < 18446744073709551616"),
+        (dict(stream=2**64 + 5), "^stream must be < 18446744073709551616"),
+    ],
+    ids=["float-epoch", "float-stream", "epoch-2**64", "stream-above-2**64"],
+)
+def test_epoch_and_stream_are_counter_words(stream, match):
+    with pytest.raises(ValueError, match=match):
+        stream_counters([0], **{"epoch": 1, "stream": 5, **stream})
+    with pytest.raises(ValueError, match=match):
+        search_one([0], **stream)
+
+
+def test_largest_counter_words_are_valid_names():
+    top = 2**64 - 1
+    assert stream_counters([top], top, top).tolist() == [[0, top, top, top]]
+    assert search_one([0], epoch=top, stream=top)[0].shape == (1, 3, 2)
+
+
 @pytest.mark.parametrize("ids", [[0, 1], [0, 1, 2, 3], [[0], [1], [2]], 0])
 def test_one_id_per_row_is_required(ids):
     with pytest.raises(ValueError, match="^ids must hold one sample id per row of X"):

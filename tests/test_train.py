@@ -353,6 +353,16 @@ class TestTrain:
             assert records[0].mean_diameter is not None
             assert records[0].mean_diameter >= 0
 
+    def test_probe_larger_than_the_training_set_is_value_error(self):
+        # the probe's slice would silently shrink to the 40 rows there are
+        ds = gen_blobs(18, 20, [[-1, 0], [1, 0]], 0.35)
+        model = init_mlp(6, [2, 4, 2])
+        before = [p.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match="^probe_size 41 exceeds the 40 training samples$"):
+            train(model, ds, clean_cfg(epochs=1, probe_size=41))
+        assert all(np.array_equal(a, b) for a, b in zip(before, model.parameters()))
+        assert train(model, ds, clean_cfg(epochs=1, probe_size=40))[0].mean_diameter >= 0
+
     def test_probe_of_one_block_is_one_search(self):
         # at probe_size 16 the probe is one corner_search_batch call on the
         # probe rows, keyed by the run seed and drawn as (row, epoch, STREAM_PROBE)
