@@ -4,9 +4,7 @@ Both attacks maximize the cross-entropy of the true class inside the
 l-infinity budget box, optionally intersected with an input domain box.
 They accept a single sample (d,) with an integer label or a batch (n, d)
 with a label array; rows are attacked independently. Each call checks its
-inputs once: every iterate lies between x plus the budget box's two faces,
-so both faces pass forward's check before the first step, and every step
-runs the unchecked network cores. The per-step gradient check stays.
+inputs once, in polytope._ascent_start; the per-step gradient check stays.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import _COUNT, _INDEX, _POSITIVE, NumericsError, ShapeError
-from .nn import MlpModel, _as_rows, _forward_rows, _input_grad_rows, _input_rows, forward, softmax
-from .polytope import PerturbationBudget, _feasible_box, _uniform_particles
+from .nn import MlpModel, _as_rows, _forward_rows, _input_grad_rows, forward, softmax
+from .polytope import PerturbationBudget, _ascent_start, _uniform_particles
 
 ATTACK_KINDS = ("fgsm", "pgd")
 
@@ -80,17 +78,11 @@ def _signed_ascent(
     budget: PerturbationBudget,
 ) -> np.ndarray:
     """x + delta after ``steps`` signed-gradient steps of size ``step`` from
-    ``delta``, each projected back to the budget box around the clean x
-    (the ``project`` clamp, with its bounds built once). Like the corner
-    search, it clamps the start to that box before the first gradient and
-    checks the box's two faces once, since x + delta is monotone in delta."""
-    lower, upper = _feasible_box(budget, xb)
-    for face in (lower, upper):
-        _input_rows(model, xb + face)
-    delta = np.clip(delta, lower, upper)
+    ``delta``, set up and projected as ``polytope._ascent_start`` says."""
+    delta, lower, upper = _ascent_start(model, xb, delta, budget)
     for _ in range(steps):
         g = _ce_input_grad(model, xb + delta, labels)
-        delta = np.clip(delta + step * np.sign(g), lower, upper)
+        delta = np.minimum(np.maximum(delta + step * np.sign(g), lower), upper)
     return xb + delta
 
 
@@ -105,7 +97,7 @@ def fgsm(model: MlpModel, x: np.ndarray, y, cfg: AttackConfig) -> np.ndarray:
         raise ValueError(f"fgsm called with kind {cfg.kind!r}")
     xb, labels, squeeze = _as_batch(model, x, y)
     # -0.0 is the exact additive identity (+0.0 would turn a -0.0 into +0.0),
-    # so the step is bitwise project(eps * sign(grad)) and x stays x
+    # so the step before its clamp is bitwise eps * sign(grad)
     adv = _signed_ascent(model, xb, labels, -0.0, cfg.epsilon, 1, cfg.budget())
     return adv[0] if squeeze else adv
 
@@ -142,8 +134,8 @@ def _accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> floa
 def robust_accuracy(model: MlpModel, dataset: Dataset, cfg: AttackConfig) -> float:
     """Fraction of samples still classified correctly after the attack.
 
-    With epsilon = 0 both attacks return the clean samples, so the result is
-    exactly the clean accuracy.
+    With epsilon = 0 both attacks return the clean samples (a -0.0 as +0.0),
+    so the result is exactly the clean accuracy.
     """
     adv = attack(model, dataset.features, dataset.labels, cfg)
     return _accuracy(model, adv, dataset.labels)

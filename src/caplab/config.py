@@ -368,14 +368,7 @@ def build_train_config(rc: RunConfig) -> TrainConfig:
     attack_cfg = None
     if tr["kind"] == "vanilla_at":
         atk = rc.section("attack")
-        attack_cfg = AttackConfig(
-            kind=atk["kind"],
-            epsilon=atk["epsilon"],
-            step_size=atk["alpha"],
-            steps=atk["steps"],
-            random_start=atk["random_start"],
-            input_clip=rc.section("polytope")["input_clip"],
-        )
+        attack_cfg = _attack_config(rc, "attack", atk["kind"], atk["steps"])
     return TrainConfig(
         baseline_kind=tr["kind"],
         epochs=tr["epochs"],
@@ -392,26 +385,31 @@ def build_train_config(rc: RunConfig) -> TrainConfig:
     )
 
 
+def _attack_config(
+    rc: RunConfig, section: str, kind: str, steps: int, seed: int = 0
+) -> AttackConfig:
+    """An attack from a section's epsilon, alpha and random_start and the
+    [polytope] input_clip; fgsm ignores alpha and random_start."""
+    sec = rc.section(section)
+    return AttackConfig(
+        kind=kind,
+        epsilon=sec["epsilon"],
+        step_size=sec["alpha"],
+        steps=steps,
+        random_start=sec["random_start"],
+        input_clip=rc.section("polytope")["input_clip"],
+        seed=seed,
+    )
+
+
 def build_eval_suite(rc: RunConfig) -> list[tuple[str, AttackConfig]]:
     """Named attack configs from [eval]; random-start seeds derive from the
     global seed and the suite position."""
-    ev = rc.section("eval")
-    eps, clip = ev["epsilon"], rc.section("polytope")["input_clip"]
     suite = []
-    for i, (kind, steps) in enumerate(ev["attacks"]):
+    for i, (kind, steps) in enumerate(rc.section("eval")["attacks"]):
         if kind == "fgsm":
-            name = "fgsm"
-            cfg = AttackConfig(kind="fgsm", epsilon=eps, input_clip=clip)
+            suite.append(("fgsm", _attack_config(rc, "eval", kind, steps)))
         else:
-            name = f"pgd-{steps}"
-            cfg = AttackConfig(
-                kind="pgd",
-                epsilon=eps,
-                step_size=ev["alpha"],
-                steps=steps,
-                random_start=ev["random_start"],
-                input_clip=clip,
-                seed=derive_seed(rc.seed, STREAM_EVAL, i),
-            )
-        suite.append((name, cfg))
+            seed = derive_seed(rc.seed, STREAM_EVAL, i)
+            suite.append((f"pgd-{steps}", _attack_config(rc, "eval", kind, steps, seed)))
     return suite

@@ -14,12 +14,9 @@ samples.
 
 Each sample's center is one sequential accumulate over its particles in
 ascending index order, so it does not depend on how numpy would otherwise
-pair up a sum. The feasible box depends only on x and the budget, so a
-search builds it once and each step is a single clamp to it. A search also
-checks its inputs once: every point it evaluates lies between x plus the
-box's two faces, so it checks those faces once at entry and then runs the
-unchecked network cores on every step. It keeps each step's residual and
-forms the objective history from all of them after the loop.
+pair up a sum. A search sets up its box, check and start in _ascent_start
+(see there). It keeps each step's residual and forms the objective history
+from all of them after the loop.
 
 A caller names each sample's particle stream by its sample id and one
 (epoch, stream) pair; under the key of ``cfg.seed`` the draw reads the
@@ -229,6 +226,27 @@ def _feasible_box(
     return lower, upper
 
 
+def _ascent_start(
+    model: MlpModel, X: np.ndarray, start: np.ndarray | float, budget: PerturbationBudget
+) -> tuple[np.ndarray | float, np.ndarray | float, np.ndarray | float]:
+    """The set-up of a projected ascent around the clean samples X (the
+    corner search, PGD and FGSM): the start clamped to the feasible box,
+    and the box's (lower, upper) bounds.
+
+    x + e is monotone in e, so every point an ascent evaluates lies between
+    X + lower and X + upper. Those two faces pass forward's entry check
+    here, laid out as rows of X's width, so one check covers every step and
+    the ascent runs the unchecked network cores. The start and every step
+    clamp with np.minimum(np.maximum(p, lower), upper); no NaN reaches it,
+    and where p equals a bound it returns the bound, signed zero included.
+    """
+    lower, upper = _feasible_box(budget, X)
+    rows = math.prod(X.shape[:-1])
+    for face in (lower, upper):
+        _input_rows(model, (X + face).reshape(rows, X.shape[-1]))
+    return np.minimum(np.maximum(start, lower), upper), lower, upper
+
+
 def _mean_ascending(values: np.ndarray, axis: int) -> np.ndarray:
     """Mean with a fixed ascending-index reduction order along ``axis``.
 
@@ -294,17 +312,8 @@ def corner_search_batch(
     N, T, eta, budget = cfg.n_particles, cfg.steps, cfg.eta, cfg.budget
 
     Xb = X[:, None, :]
-    lower, upper = _feasible_box(budget, Xb)
     P = _uniform_particles(cfg.seed, ids, epoch, stream, N, d, budget.epsilon)
-    # x + e is monotone in e, so every point evaluated below lies between x
-    # plus these two faces: checking them, laid out as the (B*N, d) rows of
-    # a step, is forward's check of every step, with forward's messages
-    for face in (lower, upper):
-        _input_rows(model, (Xb + face).repeat(N, axis=1).reshape(B * N, d))
-    # Establish x + e feasibility up front; a pure epsilon-box budget is
-    # already satisfied by construction, so this clamp is then a no-op.
-    # minimum(maximum()) is np.clip's arithmetic; no NaN reaches it.
-    P = np.minimum(np.maximum(P, lower), upper)
+    P, lower, upper = _ascent_start(model, Xb, P, budget)
 
     logits, trace = _forward_rows(model, (Xb + P).reshape(B * N, d))
     c = logits.shape[1]

@@ -52,8 +52,8 @@ def stream_counters(ids, epoch: int, stream: int) -> np.ndarray:
     ids = np.asarray(ids)
     if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
         raise ValueError(f"sample ids must be 1-D integers, got {ids.dtype} {ids.shape}")
-    if (ids.size and ids.min() < 0) or epoch < 0 or stream < 0:
-        raise ValueError("sample ids, epoch and stream must be non-negative")
+    if ids.size and ids.min() < 0:
+        raise ValueError("sample ids must be non-negative")
     _COUNTER_WORD.check(epoch, "epoch")
     _COUNTER_WORD.check(stream, "stream")
     out = np.zeros((ids.size, 4), dtype=np.uint64)

@@ -237,11 +237,16 @@ class TestFeasibility:
         model = init_mlp(51, [4, 8, 3])
         X = rng.uniform(0.0, 1.0, size=(12, 4))
         labels = rng.integers(0, 3, size=12)
+        # three more rows on the domain's faces, with both signs of zero
+        X = np.vstack([X, [[0.0, -0.0, 1.0, 0.5], [-0.0, 1.0, 0.0, -0.0], [1.0, 1.0, -0.0, 0.0]]])
+        labels = np.append(labels, [0, 1, 2])
         eps = 0.2
-        # a batch under an input_clip that binds, the batch without a clip,
-        # and a single (d,) sample under the clip
+        # a batch under an input_clip that binds, the same under a clip whose
+        # lower face is -0.0, the batch without a clip, and a single (d,)
+        # sample under the clip
         for clip, x, y in (
             ((0.0, 1.0), X, labels),
+            ((-0.0, 1.0), X, labels),
             (None, X, labels),
             ((0.0, 1.0), X[3], int(labels[3])),
         ):
@@ -249,7 +254,8 @@ class TestFeasibility:
             budget = PerturbationBudget(eps, input_clip=clip)
             adv = fgsm(model, x, y, AttackConfig("fgsm", epsilon=eps, input_clip=clip))
             if clip is not None and x.ndim == 2:
-                assert np.any((adv == clip[0]) | (adv == clip[1]))
+                # the clip binds on the rows that do not start on a face
+                assert np.any((adv[:12] == clip[0]) | (adv[:12] == clip[1]))
             want = signed_ascent_reference(model, xb, yb, -0.0, eps, 1, budget)
             assert adv.shape == x.shape and adv.tobytes() == want.tobytes()
             for random_start in (False, True):
@@ -308,6 +314,16 @@ class TestFeasibility:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="forward: input contains non-finite values"):
                 attack(model, np.array([[1.5e308]]), [1], cfg)
+
+    @pytest.mark.parametrize("kind, random_start", [("fgsm", False), ("pgd", False), ("pgd", True)])
+    def test_zero_budget_returns_x_plus_zero_bitwise(self, kind, random_start):
+        # with no clip the box is [-0.0, 0.0], and the clamp
+        # minimum(maximum(d, -0.0), 0.0) is +0.0 for every signed zero d, so
+        # a -0.0 coordinate comes back as +0.0 and every other one as it was
+        x = np.array([[-0.0, 0.2, 0.0], [0.5, -0.0, -1.0]])
+        cfg = AttackConfig(kind, 0.0, 0.05, 3, random_start=random_start, seed=3)
+        adv = attack(init_mlp(0, [3, 5, 2]), x, [0, 1], cfg)
+        assert adv.tobytes() == (x + 0.0).tobytes()
 
 
 class TestRobustAccuracy:

@@ -16,6 +16,7 @@ from caplab import (
     NumericsError,
     ParticleSet,
     PerturbationBudget,
+    ShapeError,
     ascend_step,
     find_corners,
     forward,
@@ -430,19 +431,29 @@ class TestCornerSearchReference:
     def test_equals_the_step_by_step_loop_bitwise(self, B, clip):
         rng = np.random.default_rng(37)
         # rows spread up to the domain edges, the first within eps of two of
-        # them, so the clip cuts into the eps-box at every B
+        # them, so the clip cuts into the eps-box at every B; rows 1-3 have
+        # coordinates 0.0, -0.0 and 1.0
+        faces = np.array([[1.0, -0.0], [0.0, 1.0], [-0.0, 0.0]])
         X = rng.uniform(-1.0, 1.0, size=(B, 2))
         X[:1] = [0.85, -0.9]
+        X[1:4] = faces[: len(X[1:4])]
+        cases = [(clip, X)]
+        if clip is not None:
+            # the rows moved into a domain whose lower face is -0.0, so that
+            # rows 1-3 lie on its faces
+            X01 = (X + 1.0) / 2.0
+            X01[1:4] = faces[: len(X[1:4])]
+            cases.append(((-0.0, 1.0), X01))
         # (outputs c, particles N): c = 9 reaches numpy's pairwise sum in the
         # history's sum over outputs, and N = 1 has a zero residual
-        for c, N in [(3, 10), (1, 10), (9, 10), (3, 1)]:
+        for (clip, X), (c, N) in itertools.product(cases, [(3, 10), (1, 10), (9, 10), (3, 1)]):
             model = init_mlp(36, [2, 32, 32, c])
             cfg = CornerConfig(N, 10, 0.05, PerturbationBudget(0.3, input_clip=clip), seed=5)
             P, L, centers, history, _ = corner_search_batch(model, X, np.arange(B), cfg)
             want = corner_search_reference(model, X, np.arange(B), cfg)
             for got, ref in zip((P, L, centers, history), want):
                 assert got.shape == ref.shape
-                assert got.tobytes() == ref.tobytes(), (c, N)
+                assert got.tobytes() == ref.tobytes(), (clip, c, N)
             assert P.shape == (B, N, 2) and history.shape == (B, 10)
             if clip is not None and B:
                 assert np.any(np.abs(X[:, None, :] + P) == 1.0)
@@ -474,6 +485,20 @@ class TestCornerSearchReference:
         with pytest.raises(ValueError, match="outside the input_clip domain"):
             X = np.array([[0.5, 0.5], x])
             corner_search_batch(model, X, [1, 2], cfg)
+
+    def test_wrong_width_raises_before_any_forward(self, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass ran")
+
+        monkeypatch.setattr("caplab.polytope.forward", no_forward)
+        monkeypatch.setattr("caplab.polytope._forward_rows", no_forward)
+        model = init_mlp(38, [2, 4, 3])
+        cfg = CornerConfig(10, 2, 0.05, PerturbationBudget(0.1))
+        # the message names X's own (B, d') rows, not the (B*N, d') of a step
+        with pytest.raises(ShapeError, match=r"width 2, got shape \(4, 3\)$"):
+            corner_search_batch(model, np.zeros((4, 3)), np.arange(4), cfg)
+        with pytest.raises(ShapeError, match=r"width 2, got shape \(1, 3\)$"):
+            find_corners(model, np.zeros(3), cfg)
 
 
 class TestDiameter:

@@ -111,7 +111,6 @@ def search_one(ids, X=np.zeros((1, 2)), **stream):
         lambda: derive_seed(0, -5),
         lambda: stream_counters([1, -2], 1, 5),
         lambda: stream_counters(np.array([-1], dtype=np.int64), 1, 5),
-        lambda: stream_counters([1], -1, 5),
         lambda: stream_counters([1.5], 1, 5),
         lambda: init_particles(-1, 3, 2, PerturbationBudget(0.1)),
         lambda: _uniform_particles(-1, [0], 0, 0, 3, 2, 0.1),
@@ -120,8 +119,6 @@ def search_one(ids, X=np.zeros((1, 2)), **stream):
         lambda: search_one(np.array([-1])),
         lambda: search_one(np.array([1.7])),
         lambda: search_one([-1]),
-        lambda: search_one([0], epoch=-1),
-        lambda: search_one([0], stream=-1),
     ],
 )
 def test_negative_seed_or_id_is_value_error(call):
@@ -139,8 +136,22 @@ def test_negative_seed_or_id_is_value_error(call):
         # 2**64 would escape as an OverflowError on its way to uint64
         (dict(epoch=2**64), "^epoch must be < 18446744073709551616"),
         (dict(stream=2**64 + 5), "^stream must be < 18446744073709551616"),
+        (dict(epoch=-1), "^epoch must be >= 0, got -1"),
+        (dict(stream=-1), "^stream must be >= 0, got -1"),
+        # a comparison with 0 would escape as a TypeError
+        (dict(epoch="a"), "^epoch must be an integer, got 'a'"),
+        (dict(stream=None), "^stream must be an integer, got None"),
     ],
-    ids=["float-epoch", "float-stream", "epoch-2**64", "stream-above-2**64"],
+    ids=[
+        "float-epoch",
+        "float-stream",
+        "epoch-2**64",
+        "stream-above-2**64",
+        "negative-epoch",
+        "negative-stream",
+        "str-epoch",
+        "none-stream",
+    ],
 )
 def test_epoch_and_stream_are_counter_words(stream, match):
     with pytest.raises(ValueError, match=match):
