@@ -111,6 +111,7 @@ def search_one(ids, X=np.zeros((1, 2)), **stream):
         lambda: derive_seed(0, -5),
         lambda: stream_counters([1, -2], 1, 5),
         lambda: stream_counters(np.array([-1], dtype=np.int64), 1, 5),
+        lambda: stream_counters([1], -1, 5),
         lambda: stream_counters([1.5], 1, 5),
         lambda: init_particles(-1, 3, 2, PerturbationBudget(0.1)),
         lambda: _uniform_particles(-1, [0], 0, 0, 3, 2, 0.1),
@@ -119,11 +120,18 @@ def search_one(ids, X=np.zeros((1, 2)), **stream):
         lambda: search_one(np.array([-1])),
         lambda: search_one(np.array([1.7])),
         lambda: search_one([-1]),
+        lambda: search_one([0], epoch=-1),
+        lambda: search_one([0], stream=-1),
     ],
 )
 def test_negative_seed_or_id_is_value_error(call):
-    # an OverflowError would escape the CLI as exit 1
-    with pytest.raises(ValueError, match="non-negative|integers"):
+    # an OverflowError would escape the CLI as exit 1; the message is the
+    # seed, sample-id or counter-word rule's own
+    with pytest.raises(
+        ValueError,
+        match="^(expected non-negative integer|sample ids must be (non-negative|1-D integers)"
+        "|(epoch|stream) must be >= 0, got -1$)",
+    ):
         call()
 
 
