@@ -119,7 +119,11 @@ def load_csv(
     if feature_scaling not in SCALINGS:
         raise ValueError(f"unknown feature_scaling {feature_scaling!r}")
     with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
+        reader = csv.reader(f)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise CsvParseError(f"{path}: file is empty")
 

@@ -359,4 +359,8 @@ def save_model(model: MlpModel, path: str) -> None:
 
 def load_model(path: str) -> MlpModel:
     with open(path, "r", encoding="utf-8") as f:
-        return model_from_dict(json.load(f))
+        try:
+            doc = json.load(f)
+        except RecursionError:
+            raise ValueError("checkpoint: JSON nested too deeply") from None
+    return model_from_dict(doc)

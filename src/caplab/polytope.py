@@ -19,10 +19,9 @@ pair up a sum. A search sets up its box, check and start in _ascent_start
 from all of them after the loop.
 
 A caller names each sample's particle stream by its sample id and one
-(epoch, stream) pair; under the key of ``cfg.seed`` the draw reads the
-Philox stream at counter (0, id, epoch, stream) (see ``seeding``), so a
-sample draws the same particles alone or in any batch. _uniform_particles
-is the only code that builds counter rows. find_corners draws as id 0 at
+(epoch, stream) pair, and _uniform_particles, the only code that lays a
+name out as a Philox counter, draws it (see there), so a sample draws the
+same particles alone or in any batch. find_corners draws as id 0 at
 (0, 0), which is the stream of ``np.random.Philox(cfg.seed)``.
 
 BLAS may reassociate a GEMM's sums differently for different row counts, so
@@ -46,11 +45,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import _COUNT, _INDEX, _NONNEGATIVE, NumericsError, ShapeError
+from .errors import _COUNT, _INDEX, _NONNEGATIVE, NumericsError, ShapeError, _Number
 from .nn import MlpModel, _forward_rows, _input_grad_rows, _input_rows, forward, grad_input
-from .seeding import stream_counters
 
 _BLOCK = 16  # samples in every corner search of the diameter path (see above)
+# an epoch or stream is one 64-bit Philox counter word
+_COUNTER_WORD = _Number(int, strict=False, high=2**64)
 
 
 def _check_clip(clip: Optional[tuple[float, float]], field: str = "") -> None:
@@ -168,24 +168,37 @@ def _seed_sequence(seed: int) -> np.random.SeedSequence:
 def _uniform_particles(
     seed: int, ids, epoch: int, stream: int, n_particles: int, dim: int, epsilon: float
 ) -> np.ndarray:
-    """(B, N, d) particles with i.i.d. U(-epsilon, epsilon) coordinates;
-    sample b is drawn from the Philox stream under the key of ``seed`` at
-    counter (0, ids[b], epoch, stream), laid out by ``stream_counters``,
-    which raises ValueError for a negative or non-integer id.
+    """(B, N, d) particles with i.i.d. U(-epsilon, epsilon) coordinates.
+
+    The stream layout: sample b reads the Philox stream under the key of
+    ``seed`` (the key ``np.random.Philox(seed)`` uses) at the counter
+    (0, ids[b], epoch, stream). Philox is counter-based, so distinct
+    counters give independent streams without hashing a seed per sample.
+    A draw advances only the first counter word, by far less than 2**64
+    blocks, so the streams never overlap; counter 0 is the stream of
+    ``np.random.Philox(seed)`` itself. ValueError unless the ids are 1-D
+    integers >= 0 and epoch and stream are integers in [0, 2**64).
 
     No clip is needed: ``uniform`` returns -epsilon + 2 epsilon u with u < 1
     and rounding is monotone, so every value lies in [-epsilon, epsilon];
     each ascent clamps its start to its own feasible box. Before each sample
     the one generator is reset to its fresh state at that sample's counter.
     """
-    counters = stream_counters(ids, epoch, stream)
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError(f"sample ids must be 1-D integers, got {ids.dtype} {ids.shape}")
+    if ids.size and ids.min() < 0:
+        raise ValueError("sample ids must be non-negative")
+    _COUNTER_WORD.check(epoch, "epoch")
+    _COUNTER_WORD.check(stream, "stream")
     if math.isinf(2.0 * epsilon):
         raise NumericsError(f"epsilon {epsilon!r}: the draw's range 2 * epsilon overflows float64")
     bitgen = np.random.Philox(_seed_sequence(operator.index(seed)))
     gen, fresh = np.random.Generator(bitgen), bitgen.state
-    out = np.empty((len(counters), n_particles, dim), dtype=np.float64)
-    for b, counter in enumerate(counters):
-        fresh["state"]["counter"] = counter
+    counter = fresh["state"]["counter"] = np.array([0, 0, epoch, stream], dtype=np.uint64)
+    out = np.empty((ids.size, n_particles, dim), dtype=np.float64)
+    for b, i in enumerate(ids.tolist()):
+        counter[1] = i
         bitgen.state = fresh
         out[b] = gen.uniform(-epsilon, epsilon, size=(n_particles, dim))
     return out
@@ -203,7 +216,7 @@ def project(
     """
     p = np.asarray(p, dtype=np.float64)
     lower, upper = _feasible_box(budget, x)
-    return np.clip(p, lower, upper)
+    return np.minimum(np.maximum(p, lower), upper)
 
 
 def _feasible_box(

@@ -324,6 +324,8 @@ class TestFeasibility:
         cfg = AttackConfig(kind, 0.0, 0.05, 3, random_start=random_start, seed=3)
         adv = attack(init_mlp(0, [3, 5, 2]), x, [0, 1], cfg)
         assert adv.tobytes() == (x + 0.0).tobytes()
+        # project, the reference clamp, agrees in the sign of zero
+        assert (x + project(np.full_like(x, -0.0), cfg.budget(), x)).tobytes() == adv.tobytes()
 
 
 class TestRobustAccuracy:

@@ -219,11 +219,17 @@ class TestEvalCommand:
 
         assert mean_acc(100) <= mean_acc(20) + 0.005
 
-    def test_corrupt_checkpoint_exits_2(self, tmp_path):
+    def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         cfg = write_mini(tmp_path)
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["eval", "--config", cfg, "--checkpoint", str(bad), "--out", str(tmp_path / "o")]) == 2
+        # json.load raises RecursionError on deep nesting; load_model reports
+        # it as a malformed checkpoint
+        for text in ("{not json", "[" * 200_000):
+            bad.write_text(text)
+            assert main(["eval", "--config", cfg, "--checkpoint", str(bad), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "mangle, field",

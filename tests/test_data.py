@@ -1,5 +1,7 @@
 """Dataset generator and CSV loader tests."""
 
+import csv
+import re
 import warnings
 
 import numpy as np
@@ -151,6 +153,14 @@ class TestCsv:
         path = tmp_path / "label.csv"
         path.write_text("1.0,2.0,cat\n")
         with pytest.raises(CsvParseError, match="line 1.*label"):
+            load_csv(str(path))
+
+    def test_oversized_cell_names_line(self, tmp_path):
+        # csv.Error from the reader would escape the CLI as exit 1
+        path = tmp_path / "big.csv"
+        path.write_text("1.0,2.0,0\n" + "9" * (csv.field_size_limit() + 1) + ",2.0,1\n")
+        limit = f"field larger than field limit ({csv.field_size_limit()})"
+        with pytest.raises(CsvParseError, match=re.escape(f"{path}: line 2: {limit}")):
             load_csv(str(path))
 
 

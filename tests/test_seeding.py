@@ -1,6 +1,6 @@
-"""Counter-keyed particle streams: the Philox key of a seed, the counter rows
-of a named stream, and the batched particle draw against fresh Philox
-generators."""
+"""Counter-keyed particle streams: the Philox key of a seed, and the batched
+particle draw of a named stream (sample id, epoch, stream) against fresh
+Philox generators at hand-written counters (0, id, epoch, stream)."""
 
 import ast
 import itertools
@@ -21,7 +21,7 @@ from caplab.polytope import (
     find_corners,
     init_particles,
 )
-from caplab.seeding import derive_seed, stream_counters
+from caplab.seeding import derive_seed
 
 BASES = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
 
@@ -45,18 +45,24 @@ def test_philox_keys_equal_numpy_philox():
 
 
 def test_counter_rows():
-    got = stream_counters(np.array([3, 0, 2**40], dtype=np.int64), 2, 5)
-    assert got.dtype == np.uint64
-    assert got.tolist() == [[0, 3, 2, 5], [0, 0, 2, 5], [0, 2**40, 2, 5]]
-    assert stream_counters([], 1, 5).shape == (0, 4)
+    got = _uniform_particles(4, np.array([3, 0, 2**40], dtype=np.int64), 2, 5, 7, 3, 0.3)
+    counters = np.array([[0, 3, 2, 5], [0, 0, 2, 5], [0, 2**40, 2, 5]], dtype=np.uint64)
+    assert np.array_equal(got, np.stack([fresh_draw(key_of(4), c, (7, 3)) for c in counters]))
+    assert _uniform_particles(4, [], 1, 5, 7, 3, 0.3).shape == (0, 7, 3)
 
 
 def test_batched_particles_equal_fresh_generators():
     # N * d = 21 doubles leaves the last 4-word Philox block partly used
-    got = _uniform_particles(4, np.arange(12), 1, 5, 7, 3, 0.3)
-    counters = stream_counters(np.arange(12), 1, 5)
+    counters = [np.array([0, i, 1, 5], dtype=np.uint64) for i in range(12)]
     want = np.stack([fresh_draw(key_of(4), c, (7, 3)) for c in counters])
-    assert np.array_equal(got, want)
+    for ids in (
+        np.arange(12),
+        list(range(12)),
+        np.arange(12, dtype=np.int32),
+        np.arange(12, dtype=np.uint64),
+        range(12),
+    ):
+        assert np.array_equal(_uniform_particles(4, ids, 1, 5, 7, 3, 0.3), want), type(ids)
 
 
 @pytest.mark.parametrize(
@@ -109,10 +115,10 @@ def search_one(ids, X=np.zeros((1, 2)), **stream):
     [
         lambda: derive_seed(-1, 5),
         lambda: derive_seed(0, -5),
-        lambda: stream_counters([1, -2], 1, 5),
-        lambda: stream_counters(np.array([-1], dtype=np.int64), 1, 5),
-        lambda: stream_counters([1], -1, 5),
-        lambda: stream_counters([1.5], 1, 5),
+        lambda: _uniform_particles(0, [1, -2], 1, 5, 3, 2, 0.1),
+        lambda: _uniform_particles(0, np.array([-1], dtype=np.int64), 1, 5, 3, 2, 0.1),
+        lambda: _uniform_particles(0, [1], -1, 5, 3, 2, 0.1),
+        lambda: _uniform_particles(0, [1.5], 1, 5, 3, 2, 0.1),
         lambda: init_particles(-1, 3, 2, PerturbationBudget(0.1)),
         lambda: _uniform_particles(-1, [0], 0, 0, 3, 2, 0.1),
         # ids built by hand: a signed -1 would wrap to 2**64 - 1 and a
@@ -162,15 +168,18 @@ def test_negative_seed_or_id_is_value_error(call):
     ],
 )
 def test_epoch_and_stream_are_counter_words(stream, match):
+    name = {"epoch": 1, "stream": 5, **stream}
     with pytest.raises(ValueError, match=match):
-        stream_counters([0], **{"epoch": 1, "stream": 5, **stream})
+        _uniform_particles(0, [0], name["epoch"], name["stream"], 3, 2, 0.1)
     with pytest.raises(ValueError, match=match):
         search_one([0], **stream)
 
 
 def test_largest_counter_words_are_valid_names():
     top = 2**64 - 1
-    assert stream_counters([top], top, top).tolist() == [[0, top, top, top]]
+    counter = np.array([0, top, top, top], dtype=np.uint64)
+    want = fresh_draw(key_of(4), counter, (7, 3))
+    assert np.array_equal(_uniform_particles(4, [top], top, top, 7, 3, 0.3)[0], want)
     assert search_one([0], epoch=top, stream=top)[0].shape == (1, 3, 2)
 
 
@@ -197,24 +206,17 @@ def test_draw_reads_no_os_entropy(monkeypatch):
 
 def test_only_the_draw_lays_out_counter_rows():
     # a stream is named by (ids, epoch, stream) everywhere else, so no
-    # caller can ask for a counter row that overlaps another sample's stream
-    def calls(node):
-        return [
-            n
-            for n in ast.walk(node)
-            if isinstance(n, ast.Call) and "stream_counters" in ast.unparse(n.func)
-        ]
+    # caller can ask for a counter that overlaps another sample's stream
+    def counter_keys(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Constant) and n.value == "counter"]
 
-    total, importers = 0, []
+    total = 0
     for path in sorted(Path(caplab.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        assert "COUNTER_ZERO" not in text, path.name
+        assert "COUNTER_ZERO" not in text and "stream_counters" not in text, path.name
         tree = ast.parse(text)
-        total += len(calls(tree))
+        total += len(counter_keys(tree))
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                importers += [path.name for a in node.names if a.name == "stream_counters"]
             if isinstance(node, ast.FunctionDef) and node.name == "_uniform_particles":
-                in_draw = len(calls(node))
-    assert importers == ["polytope.py"]
+                in_draw = len(counter_keys(node))
     assert total == in_draw == 1
